@@ -49,14 +49,18 @@ DEFAULT_SCHEMES = ("traditional", "opportunistic", "inclusive",
                    "exclusive", "perfect")
 
 
-def _best_run(make_machine, trace, repeats: int) -> Dict[str, float]:
+def _best_run(make_machine, trace, repeats: int,
+              policy: Optional[ExecutionPolicy] = None) -> Dict[str, float]:
     """Run ``repeats`` times, keep the fastest wall-clock (least noise)."""
     best: Optional[Dict[str, float]] = None
     for _ in range(max(1, repeats)):
         machine = make_machine()
         start = time.perf_counter()
-        result = machine.run(trace)
+        result = machine.run(trace, policy=policy)
         elapsed = time.perf_counter() - start
+        if policy is not None and machine.last_degrade_reason is not None:
+            raise RuntimeError(f"{policy.backend} arm degraded: "
+                               f"{machine.last_degrade_reason}")
         sample = {
             "wall_seconds": elapsed,
             "uops_per_sec": result.retired_uops / elapsed,
@@ -153,8 +157,10 @@ def measure_engine_backends(trace, schemes, repeats: int) -> Dict[str, object]:
 
 
 def measure_obs_overhead(trace, scheme: str, repeats: int,
-                         jsonl_path: str) -> Dict[str, float]:
-    """Compare obs-disabled vs JSONL-sink-enabled wall-clock."""
+                         jsonl_path: str) -> Dict[str, object]:
+    """Compare obs-disabled vs JSONL-sink-enabled wall-clock, and the
+    vectorized kernel with vs without occupancy and stall-breakdown
+    collection (which stay on the kernel)."""
     baseline = _best_run(lambda: Machine(scheme=make_scheme(scheme)),
                          trace, repeats)
 
@@ -170,12 +176,38 @@ def measure_obs_overhead(trace, scheme: str, repeats: int,
           f"{baseline['uops_per_sec']:,.0f} uops/sec, jsonl "
           f"{observed['uops_per_sec']:,.0f} uops/sec "
           f"({overhead:+.1%} wall-clock)")
-    return {
+    out: Dict[str, object] = {
         "scheme": scheme,
         "disabled_uops_per_sec": baseline["uops_per_sec"],
         "jsonl_uops_per_sec": observed["uops_per_sec"],
         "jsonl_overhead_frac": overhead,
     }
+    from repro.fastpath import HAS_NUMPY
+    if not HAS_NUMPY:
+        return out
+
+    def make_collecting() -> Machine:
+        machine = Machine(scheme=make_scheme(scheme),
+                          collect_occupancy=True)
+        machine.collect_stall_breakdown = True
+        return machine
+
+    vectorized = ExecutionPolicy(backend="vectorized")
+    plain = _best_run(lambda: Machine(scheme=make_scheme(scheme)),
+                      trace, repeats, policy=vectorized)
+    collecting = _best_run(make_collecting, trace, repeats,
+                           policy=vectorized)
+    collect_overhead = (collecting["wall_seconds"]
+                        / plain["wall_seconds"]) - 1.0
+    print(f"  vectorized: disabled {plain['uops_per_sec']:,.0f} uops/sec, "
+          f"occupancy+stalls {collecting['uops_per_sec']:,.0f} uops/sec "
+          f"({collect_overhead:+.1%} wall-clock)")
+    out.update({
+        "vectorized_disabled_uops_per_sec": plain["uops_per_sec"],
+        "observed_uops_per_sec": collecting["uops_per_sec"],
+        "observed_overhead_frac": collect_overhead,
+    })
+    return out
 
 
 def _best_replay(run, repeats: int, n_events: int) -> Dict[str, float]:

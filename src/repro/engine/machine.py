@@ -143,10 +143,11 @@ class Machine:
         machine through the event-driven array kernel
         (:mod:`repro.engine.vector`) with bit-identical results,
         falling back to the reference path when numpy is absent or the
-        configuration uses a feature the kernel does not support
-        (instrumentation, bank policies, prefetchers, non-section-3.1
-        schemes, saboteur subclasses).  The fallback is no longer
-        silent: an attached obs bus receives a structured
+        configuration uses a feature the kernel does not support (the
+        event bus, timeline recording, bank policies, prefetchers,
+        non-section-3.1 schemes, saboteur subclasses); occupancy and
+        stall-breakdown collection stay on the kernel.  The fallback is
+        not silent: an attached obs bus receives a structured
         ``BACKEND_DEGRADE`` event naming the reason, and
         ``self.last_degrade_reason`` records it either way.
 
@@ -161,13 +162,14 @@ class Machine:
         including mid-squash-replay, where in-flight state is simply
         abandoned.
 
-        With the invariant oracle armed (``policy.check_invariants``,
-        which in ``"auto"`` mode defers to ``REPRO_CHECK_INVARIANTS``),
-        every un-instrumented run is transparently wrapped in the
-        :mod:`repro.robust.invariants` oracle (strict mode) — the CI
-        lever for "the whole suite runs violation-free".  On the
-        vectorized backend the oracle additionally shadow-replays the
-        trace through the scalar path and demands result equality
+        With the invariant oracle armed (``policy.invariants_active()``:
+        ``check_invariants="on"``, or ``"auto"`` deferring to
+        ``REPRO_CHECK_INVARIANTS``), every un-instrumented run is
+        transparently wrapped in the :mod:`repro.robust.invariants`
+        oracle (strict mode) — the CI lever for "the whole suite runs
+        violation-free".  On the vectorized backend the oracle
+        additionally shadow-replays the trace through the scalar path
+        and demands result equality
         (:class:`repro.engine.vector.BackendMismatch`).
         """
         from repro.api.policy import coerce_policy
@@ -178,9 +180,11 @@ class Machine:
             from repro.engine import vector
             reason = vector.unsupported_reason(self)
             if reason is None:
+                run = (vector.checked_vectorized_run
+                       if policy.invariants_active()
+                       else vector.run_vectorized)
                 try:
-                    return vector.maybe_checked_run(
-                        self, trace, max_cycles=max_cycles)
+                    return run(self, trace, max_cycles=max_cycles)
                 except vector.VectorUnsupported as exc:
                     reason = str(exc)  # trace not expressible
             self._note_backend_degrade(reason)
@@ -191,7 +195,11 @@ class Machine:
             # Lazy import: repro.robust imports the engine at module
             # level, so the engine must not import it back eagerly.
             from repro.robust.invariants import checked_run
+            # The oracle re-enters run() with its own bus attached, which
+            # resets the degrade record; keep this request's.
+            reason = self.last_degrade_reason
             result, _ = checked_run(self, trace, max_cycles=max_cycles)
+            self.last_degrade_reason = reason
             return result
         return self._run_reference(trace, max_cycles)
 

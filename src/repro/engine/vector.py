@@ -13,16 +13,19 @@ through cycle by cycle.
 Bit-identity with the reference backend is the contract (docs/engine.md
 derives why the event order reproduces the scalar scan order exactly);
 ``tests/engine/test_vector.py`` pins it over the scheme × profile
-matrix and :func:`checked_vectorized_run` enforces it at runtime under
-``REPRO_CHECK_INVARIANTS=1``.
+matrix and :func:`checked_vectorized_run` enforces it at runtime
+whenever the run's :class:`~repro.api.ExecutionPolicy` arms the
+invariant oracle.
 
 The kernel deliberately supports exactly the surface the figure
 harnesses and the serve tier exercise — the six section-3.1 ordering
-schemes, any hit/miss predictor, any branch predictor, forwarding, and
-``max_cycles`` truncation.  Everything else (event-bus instrumentation,
-bank policies, prefetchers, saboteur MOBs/machines, the alternative
-prior-art schemes) reports an :func:`unsupported_reason` and the caller
-falls back to the scalar path.
+schemes, any hit/miss predictor, any branch predictor, forwarding,
+``max_cycles`` truncation, and the aggregate observations
+(``collect_occupancy`` and ``collect_stall_breakdown``, accumulated from
+the kernel's own state).  Everything else (the event bus, timeline
+recording, bank policies, prefetchers, saboteur MOBs/machines, the
+alternative prior-art schemes) reports an :func:`unsupported_reason`
+and the caller falls back to the scalar path.
 
 Scheduling structures (why no global event heap): future wake hints
 live in ``buckets`` (cycle → list of uop indices) with a small heap of
@@ -40,7 +43,7 @@ STA/STD execution re-hints the set.
 from __future__ import annotations
 
 import copy
-import os
+from bisect import bisect_right, insort
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple
@@ -57,6 +60,13 @@ _INF = float("inf")
 #: UopClass values (kept as plain ints for the hot loop).
 _LOAD, _STA, _STD, _BRANCH = 3, 4, 5, 6
 
+#: The memory pool's index in ``caps`` (:data:`uoparrays.POOL_NAMES`).
+_MEM = 1
+
+#: Front-end stall causes, in the reference loop's precedence order.
+_FRONTEND = ("frontend-branch", "frontend-trap", "frontend-window",
+             "frontend-rob")
+
 
 class VectorUnsupported(RuntimeError):
     """The vectorized kernel cannot express this run; callers fall back
@@ -65,8 +75,8 @@ class VectorUnsupported(RuntimeError):
 
 class BackendMismatch(AssertionError):
     """The vectorized and reference backends disagreed on a result —
-    raised only by :func:`checked_vectorized_run` (the
-    ``REPRO_CHECK_INVARIANTS=1`` shadow compare).  Always a bug."""
+    raised only by :func:`checked_vectorized_run` (the invariant
+    oracle's shadow compare).  Always a bug."""
 
 
 class ArrayMOB:
@@ -364,10 +374,6 @@ def unsupported_reason(machine) -> Optional[str]:
         return f"machine subclass {type(machine).__name__}"
     if machine.obs is not None:
         return "event bus attached"
-    if machine.collect_occupancy:
-        return "occupancy collection enabled"
-    if machine.collect_stall_breakdown:
-        return "stall-breakdown collection enabled"
     if machine.record_timeline:
         return "timeline recording enabled"
     if machine.bank_policy is not None:
@@ -459,6 +465,22 @@ def run_vectorized(machine, trace: Trace,
     units = cfg.units
     caps_template = (units.n_int, units.n_mem, units.n_fp,
                      units.n_complex)
+    capsum = sum(caps_template)
+
+    # -- observation (occupancy / stall breakdown) ---------------------
+    # One local flag guards every bookkeeping site, so an unobserved
+    # run pays a boolean test and nothing else.  docs/engine.md
+    # ("Observed runs on the kernel") derives why these totals equal
+    # the reference loop's per-cycle samples.
+    observe = machine.collect_occupancy or machine.collect_stall_breakdown
+    occ_n = [0] * (rpool + 1) if observe else None  # by window count
+    iw_n = [0] * (capsum + 1) if observe else None  # by issue slots used
+    wl = ([], [], [], [])  # in-window indices per pool, ascending
+    ords: Dict[int, int] = {}  # ordering-stalled load -> stall start
+    fe = [0, 0, 0, 0]      # front-end stall cycles, _FRONTEND order
+    n_stalled = 0          # window uop-cycles not issued (all causes)
+    port_n = 0
+    ord_n = 0
 
     # -- mutable per-uop state lanes -----------------------------------
     U = UNKNOWN
@@ -525,6 +547,13 @@ def run_vectorized(machine, trace: Trace,
                 floor_[li] = fl
                 in_window[li] = 1
                 window_count += 1
+                if observe:
+                    n_stalled += 1
+                    insort(wl[_MEM], li)
+                    if ords:
+                        # The retracted announcement reopens the load's
+                        # consumers' operand wait.
+                        ord_n += _reopen(ords, consumers[li], now)
                 if fl <= now:
                     heappush(cyc, li)
                 else:
@@ -664,6 +693,8 @@ def run_vectorized(machine, trace: Trace,
                     s, _ = amob.colliding_store(i, now)
                     ok = s < 0
                 if not ok:
+                    if observe:
+                        ords.setdefault(i, now)
                     w = unblock_at(i, now, kind, pred_coll[i] == 1,
                                    pred_dist[i])
                     if w is None:
@@ -682,6 +713,8 @@ def run_vectorized(machine, trace: Trace,
                             b.append(i)
                     continue
                 blocked.discard(i)
+                if ords and i in ords:
+                    ord_n += now - ords.pop(i)
 
             # Verify the producers' data actually exists (speculative
             # wakeup may have been optimistic).
@@ -695,6 +728,16 @@ def run_vectorized(machine, trace: Trace,
                     if t > actual:
                         actual = t
             caps[p] -= 1
+            if observe and not caps[p]:
+                # Pool p filled at scan index i: the reference counts
+                # every younger window uop of the pool as a port stall
+                # this cycle, candidate or not.
+                # Ordering-stalled loads among them hand this cycle
+                # back from their open ordering stretch.
+                w = wl[p]
+                port_n += len(w) - bisect_right(w, i)
+                if ords and p == _MEM:
+                    ord_n -= sum(1 for j in ords if j > i)
             if actual == U or actual > now:
                 result.squashed_issues += 1
                 fl = (actual if actual != U else now + 1) + resched
@@ -711,6 +754,8 @@ def run_vectorized(machine, trace: Trace,
             issued[i] = 1
             in_window[i] = 0
             window_count -= 1
+            if observe:
+                wl[p].remove(i)
 
             if uc == _LOAD:
                 t_addr = now + agu
@@ -739,6 +784,8 @@ def run_vectorized(machine, trace: Trace,
                         issued[i] = 0
                         in_window[i] = 1
                         window_count += 1
+                        if observe:
+                            insort(wl[p], i)
                         result.squashed_issues += 1
                         fl = now + agu + resched
                         floor_[i] = fl
@@ -768,6 +815,9 @@ def run_vectorized(machine, trace: Trace,
                     pending[i] = 1
                     dr[i] = U
                     ann[i] = base  # dependents wake, then squash
+                    if ords and base > now:
+                        ord_n += _reopen(ords, consumers[i],
+                                         now + 1 if caps[p] <= 0 else now)
                     violations.append((i, s))
                     for c in consumers[i]:
                         if not issued[c] and in_window[c]:
@@ -795,6 +845,9 @@ def run_vectorized(machine, trace: Trace,
                         hitmiss_record(True, ph)
                         hmp.observed_update(pc[i], True, line_of[i], now)
                     dr[i] = ann[i] = done
+                    if ords and done > now:
+                        ord_n += _reopen(ords, consumers[i],
+                                         now + 1 if caps[p] <= 0 else now)
                     for c in consumers[i]:
                         if not issued[c] and in_window[c]:
                             if done <= now:
@@ -826,6 +879,9 @@ def run_vectorized(machine, trace: Trace,
                 else:
                     v = base
                 ann[i] = v
+                if ords and v > now:
+                    ord_n += _reopen(ords, consumers[i],
+                                     now + 1 if caps[p] <= 0 else now)
                 for c in consumers[i]:
                     if not issued[c] and in_window[c]:
                         if v <= now:
@@ -888,6 +944,22 @@ def run_vectorized(machine, trace: Trace,
             if (t != U and not pending[stall_branch]
                     and now >= t + bmp):
                 stall_branch = -1
+        if observe:
+            # This cycle's samples: window and slots after issue, and
+            # the front-end cause the reference records before rename.
+            used = capsum - caps[0] - caps[1] - caps[2] - caps[3]
+            n_stalled -= used
+            occ_n[window_count] += 1
+            iw_n[used] += 1
+            if fetch_pos < n:
+                if stall_branch >= 0:
+                    fe[0] += 1
+                elif now < trap_stall_until:
+                    fe[1] += 1
+                elif window_count >= wsize:
+                    fe[2] += 1
+                elif len(rob) >= rpool:
+                    fe[3] += 1
         if stall_branch < 0 and now >= trap_stall_until:
             renamed = 0
             while (renamed < fetch_w and fetch_pos < n
@@ -898,6 +970,8 @@ def run_vectorized(machine, trace: Trace,
                 rob.append(i)
                 in_window[i] = 1
                 window_count += 1
+                if observe and pool[i] >= 0:
+                    wl[pool[i]].append(i)
                 uc = uclass[i]
                 mispredicted = False
                 if uc == _STA:
@@ -987,23 +1061,79 @@ def run_vectorized(machine, trace: Trace,
             raise RuntimeError(
                 f"simulation exceeded {ceiling} cycles on "
                 f"{trace.name!r} ({len(rob)} uops stuck in flight)")
+        if observe:
+            # This window is also the next visited cycle's window at
+            # issue start (replays reinserted there add to it).  The
+            # skipped cycles each repeat this post-rename state with
+            # nothing issued: the same window, no slots used, every
+            # window uop stalled on its standing cause, and the same
+            # front-end cause — except that a trap stall may expire
+            # inside the stretch.
+            n_stalled += window_count * (nxt - now)
+            skip = nxt - now - 1
+            occ_n[window_count] += skip
+            iw_n[0] += skip
+            if skip and fetch_pos < n:
+                if stall_branch >= 0:
+                    fe[0] += skip
+                else:
+                    t = trap_stall_until - now - 1
+                    if t > 0:
+                        t = min(t, skip)
+                        fe[1] += t
+                        skip -= t
+                    if window_count >= wsize:
+                        fe[2] += skip
+                    elif len(rob) >= rpool:
+                        fe[3] += skip
         now = nxt
 
     result.cycles = now
     result.l1_miss_rate = hierarchy.l1_miss_rate
+    if machine.collect_occupancy:
+        for key, count in enumerate(occ_n):
+            if count:
+                result.window_occupancy.add(key, count)
+        for key, count in enumerate(iw_n):
+            if count:
+                result.issue_width_used.add(key, count)
+    if machine.collect_stall_breakdown:
+        # Every NOP is a window uop for exactly one scan and never
+        # stalls; whatever is neither port nor ordering is operands.
+        n_stalled -= pool.count(-1)
+        operands = n_stalled - port_n - ord_n
+        counts = (("port", port_n), ("operands", operands),
+                  ("ordering", ord_n)) + tuple(zip(_FRONTEND, fe))
+        result.stall_breakdown.update(
+            (name, count) for name, count in counts if count)
     return result
+
+
+def _reopen(ords: Dict[int, int], consumers, end: int) -> int:
+    """A producer's announcement just moved past the current cycle:
+    its ordering-stalled consumers wait on operands from ``end`` on.
+    Returns the ordering cycles their closed stretches accrued."""
+    charged = 0
+    for c in consumers:
+        since = ords.pop(c, None)
+        if since is not None:
+            charged += end - since
+    return charged
 
 
 def checked_vectorized_run(machine, trace: Trace,
                            max_cycles: Optional[int] = None) -> SimResult:
     """Run both backends and demand bit-identical results.
 
-    This is the vectorized kernel's hook into the
-    ``REPRO_CHECK_INVARIANTS=1`` contract: the kernel emits no events,
-    so instead of feeding the 13-invariant oracle directly, a deep copy
-    of the machine replays the trace through the *scalar* path under
-    the full oracle, and the kernel's result must equal it field for
-    field.  Any divergence raises :class:`BackendMismatch`.
+    This is the vectorized kernel's hook into the invariant-oracle
+    contract (``ExecutionPolicy.invariants_active()``, which in
+    ``"auto"`` mode defers to ``REPRO_CHECK_INVARIANTS``): the kernel
+    emits no events, so instead of feeding the 13-invariant oracle
+    directly, a deep copy of the machine replays the trace through the
+    *scalar* path under the full oracle, and the kernel's result must
+    equal it field for field (the collected occupancy histograms and
+    stall breakdown included).  Any divergence raises
+    :class:`BackendMismatch`.
     """
     from repro.fastpath.uoparrays import UnsupportedTrace, trace_arrays
 
@@ -1027,12 +1157,3 @@ def checked_vectorized_run(machine, trace: Trace,
             f"vectorized engine diverged from reference on "
             f"{trace.name!r} ({machine.scheme.name}): {detail}")
     return actual
-
-
-def maybe_checked_run(machine, trace: Trace,
-                      max_cycles: Optional[int] = None) -> SimResult:
-    """Dispatch helper for :meth:`Machine.run`'s vectorized branch:
-    shadow-checked under ``REPRO_CHECK_INVARIANTS``, plain otherwise."""
-    if os.environ.get("REPRO_CHECK_INVARIANTS"):
-        return checked_vectorized_run(machine, trace, max_cycles=max_cycles)
-    return run_vectorized(machine, trace, max_cycles=max_cycles)

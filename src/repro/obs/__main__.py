@@ -156,11 +156,21 @@ def cmd_gate(args: argparse.Namespace) -> int:
         return 2
 
     if not args.no_append:
-        row = gatemod.history_row(report, source=args.report)
-        gatemod.append_history(args.history, row)
-        print(f"gate: appended {len(metrics)} metrics to {args.history} "
-              f"(git {str(row['provenance'].get('git_rev'))[:12]}, "
-              f"host {row['provenance'].get('hostname')})")
+        try:
+            source = gatemod.history_source(args.history, args.report)
+        except ValueError as exc:
+            print(f"gate: {exc}", file=sys.stderr)
+            return 2
+        row = gatemod.history_row(report, source=source)
+        if gatemod.append_history_once(args.history, row):
+            print(f"gate: appended {len(metrics)} metrics to "
+                  f"{args.history} "
+                  f"(git {str(row['provenance'].get('git_rev'))[:12]}, "
+                  f"host {row['provenance'].get('hostname')})")
+        else:
+            print(f"gate: {args.history} already holds this row "
+                  f"(same git revision, source and metrics); "
+                  f"not appended")
 
     if args.baseline is None:
         print("gate: no --baseline given; history-only mode, passing")

@@ -8,7 +8,10 @@ perf trajectory:
    shape, see :func:`extract_metrics`);
 2. **append** one row — metrics + full provenance (git SHA, hostname,
    python/numpy versions, CPU count) — to ``BENCH_history.jsonl``, the
-   append-only trajectory every future PR extends;
+   append-only trajectory every future PR extends.  A row whose git
+   revision, source and metrics are already recorded is not appended
+   again, and a report outside the history file's repository is
+   refused (:func:`history_source`);
 3. **compare** against a committed baseline file with configurable
    relative tolerances and exit nonzero on any regression, which is
    what lets CI (the ``perf-gate`` job) and local runs refuse a change
@@ -75,8 +78,10 @@ def extract_metrics(report: Mapping[str, object]) -> Dict[str, float]:
       abort_mismatch}`` plus the same leaves per profile;
     * throughput reports → ``schemes.<name>.uops_per_sec``,
       ``engine.<scheme>.{reference,vectorized}_uops_per_sec`` (the
-      whole-machine replay backends, docs/engine.md) and
-      ``fastpath.<sweep>.{reference,vectorized}_uops_per_sec``.
+      whole-machine replay backends, docs/engine.md),
+      ``fastpath.<sweep>.{reference,vectorized}_uops_per_sec`` and
+      ``observability.observed_uops_per_sec`` (the kernel collecting
+      occupancy and the stall breakdown).
     """
     out: Dict[str, float] = {}
     if report.get("bench") == "repro.serve":
@@ -113,6 +118,11 @@ def extract_metrics(report: Mapping[str, object]) -> Dict[str, float]:
                     value = data.get(key)
                     if isinstance(value, (int, float)):
                         out[f"{section}.{sweep}.{key}"] = float(value)
+        observability = report.get("observability")
+        if isinstance(observability, Mapping):
+            value = observability.get("observed_uops_per_sec")
+            if isinstance(value, (int, float)):
+                out["observability.observed_uops_per_sec"] = float(value)
         return out
     raise ValueError(
         "unrecognised bench report: expected a repro.serve report "
@@ -213,6 +223,42 @@ def append_history(path: str, row: Mapping[str, object]) -> None:
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(row, sort_keys=True))
         handle.write("\n")
+
+
+def history_source(history_path: str, report_path: str) -> str:
+    """``report_path`` relative to the history file's directory — the
+    repository root the trajectory belongs to.
+
+    Raises :class:`ValueError` for a report outside that root: a
+    scratch file such as ``/tmp/ht_only.json`` is not a reproducible
+    source and must not enter the trajectory.
+    """
+    root = os.path.dirname(os.path.realpath(history_path))
+    report = os.path.realpath(report_path)
+    if os.path.commonpath([root, report]) != root:
+        raise ValueError(
+            f"report {report_path!r} is outside {root!r}, the history "
+            f"file's repository; pass --no-append to gate it without "
+            f"recording")
+    return os.path.relpath(report, root)
+
+
+def _row_key(row: Mapping[str, object]) -> tuple:
+    provenance = row.get("provenance")
+    rev = (provenance.get("git_rev") if isinstance(provenance, Mapping)
+           else None)
+    return (rev, row.get("source"),
+            json.dumps(row.get("metrics"), sort_keys=True))
+
+
+def append_history_once(path: str, row: Mapping[str, object]) -> bool:
+    """Append ``row`` unless one with the same git revision, source and
+    metrics is already recorded; returns whether it appended."""
+    key = _row_key(row)
+    if any(_row_key(old) == key for old in read_history(path)):
+        return False
+    append_history(path, row)
+    return True
 
 
 def read_history(path: str) -> List[Dict[str, object]]:

@@ -49,6 +49,72 @@ def outcome_both(mk_machine, trace, max_cycles):
     return out
 
 
+#: Observation flags (collect_occupancy, collect_stall_breakdown).
+OBSERVED = {"occupancy": (True, False), "stalls": (False, True),
+            "both": (True, True)}
+
+
+def observed(machine, occupancy=True, stalls=True):
+    machine.collect_occupancy = occupancy
+    machine.collect_stall_breakdown = stalls
+    return machine
+
+
+def assert_observed_identical(mk_machine, trace, max_cycles=None):
+    """The kernel (no degrade) reproduces the reference result or its
+    RuntimeError text; returns the reference outcome."""
+    outcomes = []
+    for backend in ("reference", "vectorized"):
+        machine = mk_machine()
+        try:
+            outcomes.append(machine.run(
+                trace, max_cycles=max_cycles,
+                policy=ExecutionPolicy(backend=backend)).to_dict())
+        except RuntimeError as exc:
+            outcomes.append(str(exc))
+    assert machine.last_degrade_reason is None
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+class L1Probe:
+    """Perfect hit-miss probe over ``hierarchy``.  An object rather
+    than a lambda, so the shadow oracle's deep copy of the machine
+    probes the copied hierarchy instead of the original."""
+
+    def __init__(self, hierarchy, line_bytes):
+        self.hierarchy = hierarchy
+        self.line_bytes = line_bytes
+
+    def __call__(self, pc, line, now):
+        return self.hierarchy.would_hit_l1((line or 0) * self.line_bytes,
+                                           now)
+
+
+def fig11_machine(kind):
+    """Figure 11's machine: perfect disambiguation, 4 int / 2 mem units,
+    the named hit-miss predictor (built like the Figure 11 harness)."""
+    from repro.api import build_predictor, spec_for
+    from repro.hitmiss.oracle import OracleHMP
+    from repro.hitmiss.timing import TimingHMP
+    from repro.memory.hierarchy import MemoryHierarchy
+
+    config = BASELINE_MACHINE.with_units(4, 2)
+    hierarchy = MemoryHierarchy(config.memory)
+    local = spec_for("hmp.local", size=2048, history=8)
+    if kind == "local":
+        hmp = build_predictor(local)
+    elif kind == "hybrid":
+        hmp = build_predictor(spec_for("hmp.hybrid"))
+    elif kind == "timing":
+        hmp = TimingHMP(build_predictor(local), mshr=hierarchy.mshr,
+                        serviced=hierarchy.serviced)
+    else:
+        hmp = OracleHMP(L1Probe(hierarchy, config.memory.l1d.line_bytes))
+    return observed(Machine(config=config, scheme=make_scheme("perfect"),
+                            hmp=hmp, hierarchy=hierarchy))
+
+
 def violation_trace():
     """A microtrace that forces a hidden violation + squash replay:
     the STA's address hangs off a slow dependency chain while the
@@ -91,6 +157,72 @@ class TestBitIdentityMatrix:
             violation_trace())
         assert ref.collision_penalties > 0  # the trap actually fired
         assert ref.to_dict() == vec.to_dict()
+
+
+@needs_numpy
+class TestObservedRuns:
+    """Occupancy and stall-breakdown collection run on the kernel and
+    reproduce the reference loop's per-cycle samples exactly."""
+
+    @pytest.mark.parametrize("flags", sorted(OBSERVED))
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize("trace_name", ("gcc", "swim", "tpcc"))
+    def test_scheme_profile_matrix(self, flags, scheme, trace_name):
+        occupancy, stalls = OBSERVED[flags]
+        ref = assert_observed_identical(
+            lambda: observed(Machine(scheme=make_scheme(scheme)),
+                             occupancy, stalls),
+            get_trace(trace_name, 1500))
+        assert bool(ref["window_occupancy"]) == occupancy
+        assert bool(ref["stall_breakdown"]) == stalls
+
+    @pytest.mark.parametrize("kind", ("local", "hybrid", "timing",
+                                      "oracle"))
+    def test_fig11_machine(self, kind):
+        # Two memory units fill often, so port precedence over younger
+        # non-candidate loads is exercised every few cycles.
+        ref = assert_observed_identical(lambda: fig11_machine(kind),
+                                        get_trace("gcc", 2000))
+        assert ref["stall_breakdown"]["port"] > 0
+        assert sum(ref["window_occupancy"].values()) == ref["cycles"]
+        assert sum(ref["issue_width_used"].values()) == ref["cycles"]
+
+    def test_violation_replay_microtrace(self):
+        ref = assert_observed_identical(
+            lambda: observed(Machine(scheme=make_scheme("opportunistic"))),
+            violation_trace())
+        assert ref["collision_penalties"] > 0
+        assert ref["stall_breakdown"]["operands"] > 0
+
+    @pytest.mark.parametrize("scheme", ("opportunistic", "exclusive"))
+    def test_forwarding_machine(self, scheme):
+        import dataclasses
+        cfg = BASELINE_MACHINE
+        cfg = dataclasses.replace(cfg, latency=dataclasses.replace(
+            cfg.latency, forward_latency=2))
+        ref = assert_observed_identical(
+            lambda: observed(Machine(config=cfg,
+                                     scheme=make_scheme(scheme))),
+            get_trace("tpcc", 2000))
+        assert ref["forwarded_loads"] > 0
+
+    @pytest.mark.parametrize("max_cycles", (-1, 0, 1, 3, 10, 40, 200))
+    def test_truncation_sweep(self, max_cycles):
+        assert_observed_identical(
+            lambda: observed(Machine(scheme=make_scheme("opportunistic"))),
+            violation_trace(), max_cycles)
+
+    def test_event_bus_and_timeline_still_refused(self):
+        from repro.engine import vector
+        from repro.obs.events import EventBus
+
+        m = observed(Machine(scheme=make_scheme("traditional")))
+        assert vector.unsupported_reason(m) is None
+        m.obs = EventBus()
+        assert "event bus" in vector.unsupported_reason(m)
+        m = observed(Machine(scheme=make_scheme("traditional")))
+        m.record_timeline = True
+        assert "timeline" in vector.unsupported_reason(m)
 
 
 @needs_numpy
@@ -279,3 +411,36 @@ class TestCheckedRun:
         with pytest.raises(vector.BackendMismatch, match="cycles"):
             vector.checked_vectorized_run(
                 Machine(scheme=make_scheme("traditional")), trace)
+
+
+@needs_numpy
+class TestPolicyArmsShadowCheck:
+    """The kernel's shadow oracle follows the run's ExecutionPolicy, not
+    a raw read of ``REPRO_CHECK_INVARIANTS``."""
+
+    def run_spied(self, monkeypatch, check_invariants):
+        from repro.engine import vector
+        calls = []
+        real = vector.checked_vectorized_run
+        monkeypatch.setattr(
+            vector, "checked_vectorized_run",
+            lambda m, t, max_cycles=None: (calls.append(t.name)
+                                           or real(m, t,
+                                                   max_cycles=max_cycles)))
+        machine = Machine(scheme=make_scheme("traditional"))
+        machine.run(get_trace("gcc", 400), policy=ExecutionPolicy(
+            backend="vectorized", check_invariants=check_invariants))
+        assert machine.last_degrade_reason is None
+        return calls
+
+    def test_policy_on_checks_without_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        assert self.run_spied(monkeypatch, "on") == ["gcc"]
+
+    def test_policy_off_overrides_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        assert self.run_spied(monkeypatch, "off") == []
+
+    def test_env_zero_is_off(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
+        assert self.run_spied(monkeypatch, "auto") == []

@@ -63,6 +63,14 @@ class TestExtraction:
         assert metrics["fastpath.hmp_hybrid.vectorized_uops_per_sec"] \
             == 9e6
 
+    def test_observed_kernel_throughput(self):
+        report = dict(THROUGHPUT_REPORT, observability={
+            "observed_uops_per_sec": 70000.0,
+            "observed_overhead_frac": 0.12})
+        metrics = extract_metrics(report)
+        assert metrics["observability.observed_uops_per_sec"] == 70000.0
+        assert not any(k.endswith("overhead_frac") for k in metrics)
+
     def test_unknown_report_raises(self):
         with pytest.raises(ValueError):
             extract_metrics({"something": "else"})
@@ -155,10 +163,11 @@ class TestGateCli:
         assert main(["gate", report, "--history", history,
                      "--baseline", baseline]) == 0
         assert "baseline" in capsys.readouterr().out
-        # Identical re-run against the new baseline: exit 0.
+        # Identical re-run against the new baseline: exit 0, and the
+        # identical row is not recorded twice.
         assert main(["gate", report, "--history", history,
                      "--baseline", baseline]) == 0
-        assert len(read_history(history)) == 2
+        assert len(read_history(history)) == 1
 
     def test_synthetic_2x_regression_exits_nonzero(self, tmp_path,
                                                    capsys):
@@ -192,6 +201,34 @@ class TestGateCli:
         assert main(["gate", report, "--history", history,
                      "--baseline", baseline, "--no-append"]) == 0
         assert read_history(history) == []
+
+    def test_duplicate_row_is_not_appended(self, tmp_path, capsys):
+        report = self._write(tmp_path, "r.json", THROUGHPUT_REPORT)
+        history = str(tmp_path / "hist.jsonl")
+        for _ in range(3):
+            assert main(["gate", report, "--history", history]) == 0
+        assert "not appended" in capsys.readouterr().out
+        rows = read_history(history)
+        assert len(rows) == 1 and rows[0]["source"] == "r.json"
+        # A different metric value is a new row.
+        changed = copy.deepcopy(THROUGHPUT_REPORT)
+        changed["schemes"]["perfect"]["uops_per_sec"] = 61000.0
+        self._write(tmp_path, "r.json", changed)
+        assert main(["gate", report, "--history", history]) == 0
+        assert len(read_history(history)) == 2
+
+    def test_report_outside_the_repository_is_refused(self, tmp_path,
+                                                      capsys):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        outside = self._write(tmp_path, "ht_only.json", SERVE_REPORT)
+        history = str(repo / "hist.jsonl")
+        assert main(["gate", outside, "--history", history]) == 2
+        assert "outside" in capsys.readouterr().err
+        assert read_history(history) == []
+        # Gating without recording stays possible.
+        assert main(["gate", outside, "--history", history,
+                     "--no-append"]) == 0
 
     def test_unrecognised_report_exits_2(self, tmp_path):
         report = self._write(tmp_path, "junk.json", {"not": "a bench"})
