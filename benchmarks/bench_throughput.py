@@ -115,10 +115,11 @@ def measure_schemes(trace, schemes, repeats: int, workers: int = 0,
 def measure_engine_backends(trace, schemes, repeats: int) -> Dict[str, object]:
     """Per-backend throughput of whole-machine replay (docs/engine.md).
 
-    Pits ``Machine.run(backend="reference")`` against the event-driven
-    array kernel on the same trace, per scheme.  Unlike the fastpath
-    sweeps these replay the *full* §3.1 machine, so the speedup is
-    bounded by the shared scalar hierarchy/predictor calls.
+    Pits the scalar loop (``ExecutionPolicy(backend="reference")``)
+    against the event-driven array kernel on the same trace, per
+    scheme.  Unlike the fastpath sweeps these replay the *full* §3.1
+    machine, so the speedup is bounded by the shared scalar
+    hierarchy/predictor calls.
     """
     from repro.fastpath import HAS_NUMPY
     if not HAS_NUMPY:

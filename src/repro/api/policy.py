@@ -15,23 +15,20 @@ JSON-round-trippable, picklable object accepted end-to-end::
     ServeConfig(policy=policy)                         # serve tier
     python -m repro.serve bench --policy '{"backend": "auto"}'
 
-Legacy spellings keep working through deprecation shims (the PR 5
-pattern): ``backend="vectorized"`` string arguments route through
-:func:`legacy_policy` (which warns and names the replacement), and the
-environment variables stay authoritative for the *deferred* modes —
-``backend="auto"`` resolves through :func:`repro.fastpath.backend.
-resolve_backend` (``set_default_backend()`` / ``REPRO_BACKEND`` /
-``"reference"``) and ``check_invariants="auto"`` consults
-``REPRO_CHECK_INVARIANTS`` — so a default-constructed policy is
-behaviour-identical to the pre-policy code paths.
+The environment variables stay authoritative for the *deferred*
+modes only, and are read in exactly one place each: ``backend="auto"``
+resolves through :func:`repro.fastpath.backend.resolve_backend`
+(``set_default_backend()`` / ``REPRO_BACKEND`` / ``"reference"``) and
+``check_invariants="auto"`` consults ``REPRO_CHECK_INVARIANTS`` in
+:meth:`ExecutionPolicy.invariants_active`.  A default-constructed
+policy therefore follows the process-wide defaults.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 #: Accepted ``backend`` values.  ``"auto"`` defers to the process-wide
 #: default of :mod:`repro.fastpath.backend` at use time.
@@ -160,60 +157,3 @@ class ExecutionPolicy:
     @classmethod
     def from_json(cls, text: str) -> "ExecutionPolicy":
         return cls.from_json_dict(json.loads(text))
-
-    # -- legacy mapping (pure half of the shim) --------------------------
-
-    @classmethod
-    def from_legacy(cls, backend: Optional[str] = None,
-                    check_invariants: Optional[bool] = None,
-                    ) -> "ExecutionPolicy":
-        """Map the pre-policy spellings onto a policy, without warning.
-
-        ``backend=None`` (the legacy "defer to env/process default")
-        becomes ``"auto"``; an explicit legacy string is kept verbatim.
-        ``check_invariants=None`` becomes ``"auto"`` (defer to
-        ``REPRO_CHECK_INVARIANTS``).  Pickle/equality contract: the
-        mapping is pure, so two calls with equal legacy inputs produce
-        equal (and pickle-equal) policies.
-        """
-        return cls(
-            backend="auto" if backend is None else backend,
-            check_invariants=("auto" if check_invariants is None
-                              else ("on" if check_invariants else "off")))
-
-
-def legacy_policy(backend: Optional[str],
-                  owner: str, stacklevel: int = 3) -> ExecutionPolicy:
-    """The warning half of the ``backend=`` string shim.
-
-    Called by policy-accepting entry points (``Machine.run``, the serve
-    constructors, the bench CLIs) when a caller still passes the
-    deprecated ``backend=`` string: warns once per call site, naming
-    the replacement, and returns the equivalent policy.
-    """
-    warnings.warn(
-        f"{owner}: backend= strings are deprecated; pass "
-        f"policy=ExecutionPolicy(backend={backend!r}) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-    return ExecutionPolicy.from_legacy(backend=backend)
-
-
-def coerce_policy(policy: Optional[ExecutionPolicy],
-                  backend: Optional[str], owner: str,
-                  stacklevel: int = 4) -> ExecutionPolicy:
-    """Resolve the (policy=, backend=) argument pair of a migrated API.
-
-    Exactly one of the two may be given; a lone legacy ``backend``
-    string routes through :func:`legacy_policy` (DeprecationWarning),
-    and neither means the default policy (behaviour-identical to the
-    pre-policy default resolution chain).
-    """
-    if policy is not None:
-        if backend is not None:
-            raise ValueError(
-                f"{owner}: pass either policy= or the deprecated "
-                f"backend=, not both")
-        return policy
-    if backend is not None:
-        return legacy_policy(backend, owner, stacklevel=stacklevel)
-    return ExecutionPolicy()

@@ -131,7 +131,7 @@ class Machine:
     # ------------------------------------------------------------------
 
     def run(self, trace: Trace, max_cycles: Optional[int] = None,
-            backend: Optional[str] = None, policy=None) -> SimResult:
+            policy=None) -> SimResult:
         """Simulate ``trace`` to completion and return the measurements.
 
         ``policy`` — a :class:`repro.api.ExecutionPolicy` — selects the
@@ -151,10 +151,6 @@ class Machine:
         ``BACKEND_DEGRADE`` event naming the reason, and
         ``self.last_degrade_reason`` records it either way.
 
-        ``backend=`` strings are the deprecated spelling of
-        ``policy=ExecutionPolicy(backend=...)`` and warn
-        (:mod:`repro.api.policy` shims).
-
         Truncation and edge semantics are identical across backends:
         an empty trace finishes at ``cycles == 0`` without touching the
         ceiling; otherwise the simulation raises ``RuntimeError`` (same
@@ -172,8 +168,9 @@ class Machine:
         and demands result equality
         (:class:`repro.engine.vector.BackendMismatch`).
         """
-        from repro.api.policy import coerce_policy
-        policy = coerce_policy(policy, backend, "Machine.run")
+        if policy is None:
+            from repro.api.policy import ExecutionPolicy
+            policy = ExecutionPolicy()
         self.last_degrade_reason = None
         resolved = policy.resolved_backend()
         if resolved == "vectorized":

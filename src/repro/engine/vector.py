@@ -392,10 +392,11 @@ def run_vectorized(machine, trace: Trace,
     """Replay ``trace`` on ``machine`` through the array kernel.
 
     Produces a :class:`SimResult` bit-identical to
-    ``machine.run(..., backend="reference")`` — including truncation
-    behaviour: the same ``RuntimeError`` (message and all) is raised
-    when the simulation exceeds ``max_cycles``, and an empty trace
-    finishes at cycle 0 without raising even for negative ceilings.
+    ``machine.run(..., policy=ExecutionPolicy(backend="reference"))`` —
+    including truncation behaviour: the same ``RuntimeError`` (message
+    and all) is raised when the simulation exceeds ``max_cycles``, and
+    an empty trace finishes at cycle 0 without raising even for
+    negative ceilings.
 
     Raises :class:`VectorUnsupported` (before touching any machine
     state) when the trace cannot be expressed in the array model.

@@ -22,9 +22,9 @@ must only be imported behind a :data:`HAS_NUMPY` check — exactly what
 :func:`enabled` is for.
 
 The same backend switch also selects the whole-machine replay kernel:
-``Machine.run(trace, backend=...)`` resolves through
-:func:`resolve_backend` and routes supported runs to the event-driven
-array engine of :mod:`repro.engine.vector` built over the
+``Machine.run(trace, policy=ExecutionPolicy(backend=...))`` resolves
+through :func:`resolve_backend` and routes supported runs to the
+event-driven array engine of :mod:`repro.engine.vector` built over the
 :mod:`repro.fastpath.uoparrays` uop lanes (see ``docs/engine.md``).
 """
 

@@ -10,7 +10,7 @@ from guarded straight-line code to guarded predictor-state transitions.
 
 The unit of speculation is one *step window*: a same-session run of
 ``step`` events (``(pcs, outcomes, distances)`` lanes) flowing through
-:func:`repro.serve.batch.execute_step_arrays` — either a coalesced
+:func:`repro.serve.batch.execute_step_arrays_ex` — either a coalesced
 micro-batch run or a ``replay`` trace-window op.  Predictor stepping is
 a deterministic function of (state, window), so the transition is
 memoizable::

@@ -53,10 +53,9 @@ async def _run_serve(args: "argparse.Namespace") -> int:
     config = ServeConfig(
         n_shards=args.shards, max_batch=args.max_batch,
         max_delay_us=args.max_delay_us, queue_depth=args.queue_depth,
-        backend=args.backend, telemetry=not args.no_telemetry,
-        trace_sample_shift=args.trace_sample_shift)
-    if args.parsed_policy is not None:
-        config = config.with_policy(args.parsed_policy)
+        telemetry=not args.no_telemetry,
+        trace_sample_shift=args.trace_sample_shift,
+        policy=args.parsed_policy)
     if args.workers and args.workers > 1:
         from repro.serve.fleet import ServeFleet
         service = ServeFleet(n_workers=args.workers, config=config,
@@ -108,14 +107,11 @@ def main(argv=None) -> int:
     serve_p.add_argument("--port", type=int, default=7199)
     serve_p.add_argument("--stdio", action="store_true",
                         help="serve over stdin/stdout instead of TCP")
-    serve_p.add_argument("--backend", default=None,
-                        choices=("reference", "vectorized"),
-                        help="fast-path backend (default: process default)")
     serve_p.add_argument("--policy", default=None, metavar="JSON",
                         help="ExecutionPolicy as JSON, e.g. "
                              "'{\"backend\": \"vectorized\", "
-                             "\"hottrace\": true}' — supersedes "
-                             "--backend (passing both is an error)")
+                             "\"hottrace\": true}' (default: the "
+                             "process default chain)")
     serve_p.add_argument("--no-telemetry", action="store_true",
                         help="disable per-request span tracing")
     serve_p.add_argument("--trace-sample-shift", type=int, default=6,
@@ -199,21 +195,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "serve":
-        if args.policy and args.backend:
-            parser.error("--policy and --backend are mutually "
-                         "exclusive (policy.backend wins)")
-        if args.policy:
-            # Usage-error contract (docs/robustness.md): malformed
-            # JSON or bad field values exit 2 with a clean error line,
-            # they never reach the service as a traceback.
-            from repro.api import ExecutionPolicy
-            try:
-                args.parsed_policy = ExecutionPolicy.from_json(
-                    args.policy)
-            except ValueError as exc:
-                parser.error(f"--policy: {exc}")
-        else:
-            args.parsed_policy = None
+        # Usage-error contract (docs/robustness.md): malformed JSON or
+        # bad field values exit 2 with a clean error line, they never
+        # reach the service as a traceback.
+        from repro.api import ExecutionPolicy
+        try:
+            args.parsed_policy = (ExecutionPolicy.from_json(args.policy)
+                                  if args.policy else ExecutionPolicy())
+        except ValueError as exc:
+            parser.error(f"--policy: {exc}")
         return asyncio.run(_run_serve(args))
     if args.command == "top":
         from repro.serve.top import run_top

@@ -1,13 +1,11 @@
 """ServeHandle: one client interface for every deployment topology.
 
-Before this module the repo had two client entry points — in-process
+:class:`ServeHandle` is the one client surface, shared by in-process
 submission against a :class:`~repro.serve.service.PredictionService` /
-:class:`~repro.serve.fleet.ServeFleet` object, and the line-at-a-time
-:class:`~repro.serve.net.JsonlClient` for the TCP transport — and
-bench/loadgen/tests each picked one by hand.  :class:`ServeHandle` is
-the shared protocol (structural, ``runtime_checkable``): anything that
-can open sessions, submit data requests as futures, and await
-responses.  The service and the fleet already satisfy it natively;
+:class:`~repro.serve.fleet.ServeFleet` object and the JSONL TCP
+transport.  It is a protocol (structural, ``runtime_checkable``):
+anything that can open sessions, submit data requests as futures, and
+await responses.  The service and the fleet already satisfy it natively;
 :class:`JsonlHandle` lifts the JSONL TCP transport to the same shape
 (pipelined, futures correlated by ``(session_id, seq)``), so
 :func:`repro.serve.loadgen.run_open_loop` — and anything else written
@@ -62,10 +60,8 @@ class JsonlHandle:
     """A pipelined JSONL TCP client speaking the :class:`ServeHandle`
     protocol.
 
-    Unlike :class:`~repro.serve.net.JsonlClient` (one in-flight
-    round trip, caller-managed correlation), the handle keeps any
-    number of requests in flight: responses come back in completion
-    order and are matched to their futures by ``(session_id, seq)`` —
+    The handle keeps any number of requests in flight: responses
+    come back in completion order and are matched to their futures by ``(session_id, seq)`` —
     per-key FIFO, matching the service's per-session admission-order
     guarantee.
     """

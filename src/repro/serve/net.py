@@ -166,32 +166,3 @@ async def serve_stdio(service: PredictionService,
         stdout.write(response.to_json() + "\n")
         stdout.flush()
 
-
-class JsonlClient:
-    """Minimal asyncio client for the JSONL transport (tests/tools).
-
-    Sends requests and awaits responses one at a time; ``seq``
-    correlation is the caller's business when pipelining by hand.
-    """
-
-    def __init__(self, reader: "asyncio.StreamReader",
-                 writer: "asyncio.StreamWriter") -> None:
-        self.reader = reader
-        self.writer = writer
-
-    @classmethod
-    async def connect(cls, host: str, port: int) -> "JsonlClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
-
-    async def roundtrip(self, request: PredictRequest) -> PredictResponse:
-        self.writer.write((request.to_json() + "\n").encode("utf-8"))
-        await self.writer.drain()
-        line = await self.reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return PredictResponse.from_json(line.decode("utf-8"))
-
-    async def close(self) -> None:
-        self.writer.close()
-        await self.writer.wait_closed()

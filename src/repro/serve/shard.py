@@ -105,7 +105,7 @@ class Shard:
         self.max_batch_seen = 0
         #: The execution policy all runs on this shard follow; the
         #: hot-trace engine exists only when the policy enables it.
-        self.policy = config.effective_policy()
+        self.policy = config.policy
         self.hottrace: Optional[HotTraceEngine] = (
             HotTraceEngine(self.policy) if self.policy.hottrace else None)
         self.hottrace_batches = 0
@@ -279,7 +279,9 @@ class Shard:
         for item in items:
             by_session.setdefault(item.request.session_id, []).append(item)
         used_kernel = False
-        backend = self._backend_name()
+        # Resolved once per batch, the way Machine.run resolves per run.
+        backend = self.policy.resolved_backend()
+        check = self.policy.invariants_active()
         for session_id, group in by_session.items():
             session = self.sessions.get(session_id)
             if session is None:
@@ -289,11 +291,9 @@ class Shard:
                         ok=False, error=ERR_UNKNOWN_SESSION))
                     self._finish_span(item)
                 continue
-            used_kernel |= self._execute_session(session, group, backend)
+            used_kernel |= self._execute_session(session, group, backend,
+                                                 check)
         return used_kernel
-
-    def _backend_name(self) -> str:
-        return self.policy.resolved_backend()
 
     def _note_degrade(self, session: Session, n: int,
                       backend: str) -> None:
@@ -328,7 +328,7 @@ class Shard:
                               guard=guard)
 
     def _execute_session(self, session: Session, group: List[_Item],
-                         backend: str) -> bool:
+                         backend: str, check: bool) -> bool:
         """Execute one session's slice of the batch, in arrival order,
         splitting maximal ``step`` runs out for the kernels."""
         used_kernel = False
@@ -338,13 +338,15 @@ class Shard:
                 if item.request.op == "step":
                     run.append(item)
                     continue
-                used_kernel |= self._flush_run(session, run, backend)
+                used_kernel |= self._flush_run(session, run, backend,
+                                               check)
                 run = []
                 if item.request.op == "replay":
-                    used_kernel |= self._apply_replay(session, item)
+                    used_kernel |= self._apply_replay(session, item,
+                                                      backend, check)
                 else:
                     self._apply_single(session, item)
-            used_kernel |= self._flush_run(session, run, backend)
+            used_kernel |= self._flush_run(session, run, backend, check)
         except asyncio.CancelledError:
             # Never convert a cancellation into an in-band error: the
             # task-level handler resolves the outstanding futures and
@@ -374,7 +376,7 @@ class Shard:
                 self.tracer.finish(item.span)
 
     def _flush_run(self, session: Session, run: List[_Item],
-                   backend: str) -> bool:
+                   backend: str, check: bool) -> bool:
         if not run:
             return False
         spans = [item.span for item in run if item.span is not None]
@@ -382,7 +384,7 @@ class Shard:
             span.mark("batch")
         results, via = execute_steps_ex(
             session, [item.request for item in run], backend,
-            self.config.min_kernel_run, self.hottrace)
+            self.config.min_kernel_run, self.hottrace, check)
         used_kernel = via == VIA_KERNEL
         if via == VIA_SCALAR:
             self._note_degrade(session, len(run), backend)
@@ -439,16 +441,16 @@ class Shard:
             session_id=session.session_id, seq=request.seq, result=result))
         self._finish_span(item)
 
-    def _apply_replay(self, session: Session, item: _Item) -> bool:
+    def _apply_replay(self, session: Session, item: _Item,
+                      backend: str, check: bool) -> bool:
         """One trace-window request: the whole window executes as a
         single run (kernel rules of :func:`~repro.serve.batch.
-        execute_replay`); ``served`` counts its steps."""
+        execute_replay_ex`); ``served`` counts its steps."""
         if item.span is not None:
             item.span.mark("batch")
-        backend = self._backend_name()
         digest, n_steps, via = execute_replay_ex(
             session, item.request, backend,
-            self.config.min_kernel_run, self.hottrace)
+            self.config.min_kernel_run, self.hottrace, check)
         used_kernel = via == VIA_KERNEL
         if via == VIA_SCALAR:
             self._note_degrade(session, n_steps, backend)
@@ -481,7 +483,7 @@ class Shard:
                 if existing is None:
                     self.sessions[session_id] = Session(
                         session_id, spec,
-                        backend=self.config.backend_arg())
+                        backend=self.policy.resolved_backend())
                 entry.future.set_result(None)
             elif entry.op == "close":
                 session = self.sessions.pop(entry.payload, None)

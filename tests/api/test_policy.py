@@ -1,12 +1,9 @@
-"""ExecutionPolicy: validation, JSON round trip, legacy shims.
+"""ExecutionPolicy: validation, JSON round trip, deferred resolution.
 
 The policy object is the single "how should this run" value the whole
-stack now accepts (Machine.run, PredictionService, ServeFleet, the
-bench CLIs).  These tests pin the contract pieces the rest of the repo
-leans on: frozen-ness, strict JSON round trip, the pure
-``from_legacy`` mapping (pickle-equal to explicit construction, per
-the PR 5 shim discipline), and ``coerce_policy``'s deprecation
-behaviour for callers still passing ``backend=`` strings.
+stack accepts (Machine.run, ServeConfig, the bench CLIs).  These tests
+pin the contract pieces the rest of the repo leans on: frozen-ness,
+strict JSON round trip, pickling, and the deferred ``"auto"`` modes.
 """
 
 import json
@@ -15,8 +12,6 @@ import pickle
 import pytest
 
 from repro.api import ExecutionPolicy
-from repro.api.policy import coerce_policy, legacy_policy
-from repro.serve.config import ServeConfig
 
 
 # -- construction and validation -----------------------------------------
@@ -110,22 +105,7 @@ def test_partial_json_fills_defaults():
     assert policy == ExecutionPolicy(hottrace=True)
 
 
-# -- legacy mapping + pickle equality (the shim contract) -----------------
-
-
-def test_from_legacy_is_pickle_equal_to_explicit():
-    pairs = [
-        (ExecutionPolicy.from_legacy(), ExecutionPolicy()),
-        (ExecutionPolicy.from_legacy(backend="vectorized"),
-         ExecutionPolicy(backend="vectorized")),
-        (ExecutionPolicy.from_legacy(check_invariants=True),
-         ExecutionPolicy(check_invariants="on")),
-        (ExecutionPolicy.from_legacy(check_invariants=False),
-         ExecutionPolicy(check_invariants="off")),
-    ]
-    for shimmed, explicit in pairs:
-        assert shimmed == explicit
-        assert pickle.dumps(shimmed) == pickle.dumps(explicit)
+# -- pickling -------------------------------------------------------------
 
 
 def test_policy_survives_pickle():
@@ -134,29 +114,6 @@ def test_policy_survives_pickle():
     policy = ExecutionPolicy(backend="reference", hottrace=True,
                              hot_threshold=2)
     assert pickle.loads(pickle.dumps(policy)) == policy
-
-
-def test_legacy_policy_warns_and_maps():
-    with pytest.warns(DeprecationWarning, match="Machine.run"):
-        policy = legacy_policy("vectorized", "Machine.run")
-    assert policy == ExecutionPolicy(backend="vectorized")
-
-
-def test_coerce_policy_passthrough_and_default():
-    explicit = ExecutionPolicy(hottrace=True)
-    assert coerce_policy(explicit, None, "owner") is explicit
-    assert coerce_policy(None, None, "owner") == ExecutionPolicy()
-
-
-def test_coerce_policy_lone_backend_warns():
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        policy = coerce_policy(None, "reference", "owner")
-    assert policy == ExecutionPolicy(backend="reference")
-
-
-def test_coerce_policy_rejects_both():
-    with pytest.raises(ValueError, match="not both"):
-        coerce_policy(ExecutionPolicy(), "reference", "owner")
 
 
 # -- deferred resolution --------------------------------------------------
@@ -182,38 +139,3 @@ def test_invariants_active_modes(monkeypatch):
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
     assert not ExecutionPolicy().invariants_active()
 
-
-# -- ServeConfig interplay ------------------------------------------------
-
-
-def test_serve_config_rejects_policy_plus_backend():
-    with pytest.raises(ValueError, match="not both"):
-        ServeConfig(policy=ExecutionPolicy(), backend="reference")
-
-
-def test_serve_config_with_policy_clears_backend():
-    config = ServeConfig(backend="reference")
-    policy = ExecutionPolicy(backend="vectorized", hottrace=True)
-    updated = config.with_policy(policy)
-    assert updated.policy is policy and updated.backend is None
-    assert updated.effective_policy() is policy
-    assert updated.backend_arg() == "vectorized"
-
-
-def test_serve_config_with_backend_clears_policy():
-    config = ServeConfig(policy=ExecutionPolicy(backend="vectorized"))
-    updated = config.with_backend("reference")
-    assert updated.policy is None and updated.backend == "reference"
-    assert updated.effective_policy() == ExecutionPolicy(
-        backend="reference")
-
-
-def test_serve_config_effective_policy_legacy_mapping():
-    # backend=None -> the deferred default chain, identical to a
-    # default-constructed policy.
-    assert ServeConfig().effective_policy() == ExecutionPolicy()
-    assert ServeConfig().backend_arg() is None
-    legacy = ServeConfig(backend="reference")
-    assert legacy.effective_policy() == ExecutionPolicy(
-        backend="reference")
-    assert legacy.backend_arg() == "reference"

@@ -1,7 +1,7 @@
 """The vectorized machine backend: bit-identity, routing, fallback.
 
 The contract under test is ``docs/engine.md``'s: for every supported
-configuration, ``Machine.run(trace, backend="vectorized")`` produces a
+configuration, ``Machine.run(trace, policy=VECTORIZED)`` produces a
 ``SimResult`` whose ``to_dict()`` equals the reference backend's — and
 every unsupported configuration silently falls back to the scalar
 path, so the switch can never change results, only speed.
@@ -27,23 +27,26 @@ from tests.engine.helpers import MicroTrace
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY,
                                  reason="vectorized kernel needs numpy")
 
+REFERENCE = ExecutionPolicy(backend="reference")
+VECTORIZED = ExecutionPolicy(backend="vectorized")
+
 
 def run_both(mk_machine, trace, max_cycles=None):
     """(reference, vectorized) results for the same machine recipe."""
     ref = mk_machine().run(trace, max_cycles=max_cycles,
-                           backend="reference")
+                           policy=REFERENCE)
     vec = mk_machine().run(trace, max_cycles=max_cycles,
-                           backend="vectorized")
+                           policy=VECTORIZED)
     return ref, vec
 
 
 def outcome_both(mk_machine, trace, max_cycles):
     """Result dict or the RuntimeError string, per backend."""
     out = []
-    for backend in ("reference", "vectorized"):
+    for policy in (REFERENCE, VECTORIZED):
         try:
             out.append(mk_machine().run(trace, max_cycles=max_cycles,
-                                        backend=backend).to_dict())
+                                        policy=policy).to_dict())
         except RuntimeError as exc:
             out.append(str(exc))
     return out
@@ -64,12 +67,11 @@ def assert_observed_identical(mk_machine, trace, max_cycles=None):
     """The kernel (no degrade) reproduces the reference result or its
     RuntimeError text; returns the reference outcome."""
     outcomes = []
-    for backend in ("reference", "vectorized"):
+    for policy in (REFERENCE, VECTORIZED):
         machine = mk_machine()
         try:
             outcomes.append(machine.run(
-                trace, max_cycles=max_cycles,
-                policy=ExecutionPolicy(backend=backend)).to_dict())
+                trace, max_cycles=max_cycles, policy=policy).to_dict())
         except RuntimeError as exc:
             outcomes.append(str(exc))
     assert machine.last_degrade_reason is None
@@ -276,7 +278,7 @@ class TestTruncationAndEdges:
                            match=r"simulation exceeded 3 cycles on "
                                  r"'gcc' \(\d+ uops stuck in flight\)"):
             Machine(scheme=make_scheme("traditional")).run(
-                trace, max_cycles=3, backend="vectorized")
+                trace, max_cycles=3, policy=VECTORIZED)
 
 
 class TestRoutingAndFallback:
@@ -290,7 +292,7 @@ class TestRoutingAndFallback:
         monkeypatch.setattr(vector, "run_vectorized", boom)
         trace = MicroTrace().alu(dst=1).build("one")
         result = Machine(scheme=make_scheme("traditional")).run(
-            trace, backend="reference")
+            trace, policy=REFERENCE)
         assert result.retired_uops == 1
 
     @needs_numpy
@@ -333,7 +335,7 @@ class TestRoutingAndFallback:
         trace = MicroTrace().alu(dst=1).build("one")
         # Still runs (scalar path) even when vectorized is requested,
         # and the degrade is recorded instead of silent.
-        result = m.run(trace, policy=ExecutionPolicy(backend="vectorized"))
+        result = m.run(trace, policy=VECTORIZED)
         assert result.retired_uops == 1 and result.timeline is not None
         assert m.last_degrade_reason is not None
 
@@ -394,7 +396,7 @@ class TestCheckedRun:
                                                    max_cycles=max_cycles)))
         trace = get_trace("gcc", 400)
         result = Machine(scheme=make_scheme("traditional")).run(
-            trace, backend="vectorized")
+            trace, policy=VECTORIZED)
         assert calls == ["gcc"]
         assert isinstance(result, SimResult)
 

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.api import build_predictor, spec_for
+from repro.api import ExecutionPolicy, build_predictor, spec_for
 from repro.serve import PredictRequest, ServeConfig
 from repro.serve.batch import apply_step, replay_digest
 from repro.serve.fleet import ServeFleet
@@ -20,7 +20,8 @@ from repro.serve.snapshot import load_snapshot
 
 SPEC = spec_for("binary.gshare", history=7)
 CONFIG = ServeConfig(n_shards=2, max_batch=64, max_delay_us=200,
-                     backend="vectorized", min_kernel_run=4)
+                     policy=ExecutionPolicy(backend="vectorized"),
+                     min_kernel_run=4)
 
 
 def _steps(seed, n):

@@ -326,10 +326,10 @@ def test_fleet_policy_travels_and_stats_aggregate(tmp_path):
 
     async def main():
         async with ServeFleet(n_workers=1,
-                              config=ServeConfig(n_shards=1),
-                              state_dir=str(tmp_path),
-                              policy=POLICY) as fleet:
-            assert fleet.config.effective_policy() is POLICY
+                              config=ServeConfig(n_shards=1,
+                                                 policy=POLICY),
+                              state_dir=str(tmp_path)) as fleet:
+            assert fleet.config.policy is POLICY
             await fleet.open_session("s", SPEC)
             for seq in range(5):
                 r = await fleet.request(_replay_request("s", seq))
@@ -338,6 +338,8 @@ def test_fleet_policy_travels_and_stats_aggregate(tmp_path):
             # worker is still running, so without a poll there is no
             # final report to aggregate.
             await fleet.poll_stats()
+            assert fleet.stats()["config"]["serve"]["backend"] == \
+                "reference"
             block = fleet.stats()["totals"]["hottrace"]
             assert block["hits"] >= 2
             assert block["abort_mismatch"] == 0

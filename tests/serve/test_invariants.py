@@ -1,22 +1,23 @@
 """The serving invariant oracle: kernel divergence must be caught.
 
-Under ``REPRO_CHECK_INVARIANTS=1`` every kernel-executed run is
-shadow-replayed scalar on a copy of the pre-batch predictor; both the
-results and the post-run predictor state must match bit-for-bit.  These
-tests prove the oracle *fails* when the kernel misbehaves — an oracle
-that cannot fail verifies nothing.
+When the shard's ``ExecutionPolicy`` arms the oracle, every
+kernel-executed run is shadow-replayed scalar on a copy of the
+pre-batch predictor; both the results and the post-run predictor state
+must match bit-for-bit.  These tests prove the oracle *fails* when the
+kernel misbehaves — an oracle that cannot fail verifies nothing — and
+that it follows the policy, not the environment behind its back.
 """
 
 import asyncio
 
 import pytest
 
-from repro.api import spec_for
+from repro.api import ExecutionPolicy, spec_for
 from repro.serve import PredictRequest, PredictionService, ServeConfig
 from repro.serve.batch import (
+    VIA_KERNEL,
     ServeInvariantViolation,
-    execute_steps,
-    invariants_enabled,
+    execute_steps_ex,
 )
 from repro.serve.session import Session
 
@@ -28,41 +29,78 @@ def _requests(n=32):
                            outcome=i % 2, seq=i) for i in range(n)]
 
 
-def test_invariants_enabled_env(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-    assert not invariants_enabled()
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
-    assert not invariants_enabled()
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-    assert invariants_enabled()
-
-
-def test_clean_kernel_passes_under_invariants(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-    session = Session("s", spec_for("hmp.local", size=64, history=2),
-                      backend="vectorized")
-    results, used_kernel = execute_steps(session, _requests(),
-                                         "vectorized", min_kernel_run=4)
-    assert used_kernel
-    assert len(results) == 32
-
-
-def test_corrupted_results_raise(monkeypatch):
+def _lying_kernel(monkeypatch):
+    """Patch the step kernel to flip prediction 5; returns its call
+    log so a test can prove the kernel (not the scalar path) ran."""
     from repro.fastpath import batchapi
     real = batchapi.replay_steps
+    calls = []
 
     def lying_kernel(family, predictor, pcs, outcomes, extras):
+        calls.append(len(pcs))
         out = numpy.array(real(family, predictor, pcs, outcomes, extras))
         out[5] ^= 1  # flip one prediction
         return out
 
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     monkeypatch.setattr(batchapi, "replay_steps", lying_kernel)
+    return calls
+
+
+def _serve_window(policy):
+    """One 16-step window through a single-shard vectorized service."""
+    async def main():
+        config = ServeConfig(n_shards=1, min_kernel_run=4, policy=policy)
+        async with PredictionService(config) as service:
+            await service.open_session("s", spec_for("hmp.local",
+                                                     size=64, history=2))
+            return await asyncio.gather(*[
+                service.submit(r) for r in _requests(16)])
+    return asyncio.run(main())
+
+
+def test_policy_on_arms_oracle_without_env(monkeypatch):
+    monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+    calls = _lying_kernel(monkeypatch)
+    responses = _serve_window(ExecutionPolicy(backend="vectorized",
+                                              check_invariants="on"))
+    assert calls
+    assert any(not r.ok and "ServeInvariantViolation" in r.error
+               for r in responses)
+
+
+def test_policy_off_disarms_oracle_despite_env(monkeypatch):
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    calls = _lying_kernel(monkeypatch)
+    responses = _serve_window(ExecutionPolicy(backend="vectorized",
+                                              check_invariants="off"))
+    assert calls
+    assert all(r.ok for r in responses)
+
+
+def test_policy_auto_with_env_zero_is_off(monkeypatch):
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
+    calls = _lying_kernel(monkeypatch)
+    responses = _serve_window(ExecutionPolicy(backend="vectorized"))
+    assert calls
+    assert all(r.ok for r in responses)
+
+
+def test_clean_kernel_passes_under_invariants():
+    session = Session("s", spec_for("hmp.local", size=64, history=2),
+                      backend="vectorized")
+    results, via = execute_steps_ex(session, _requests(), "vectorized",
+                                    min_kernel_run=4, check=True)
+    assert via == VIA_KERNEL
+    assert len(results) == 32
+
+
+def test_corrupted_results_raise(monkeypatch):
+    _lying_kernel(monkeypatch)
     session = Session("s", spec_for("hmp.local", size=64, history=2),
                       backend="vectorized")
     with pytest.raises(ServeInvariantViolation, match="index 5"):
-        execute_steps(session, _requests(), "vectorized",
-                      min_kernel_run=4)
+        execute_steps_ex(session, _requests(), "vectorized",
+                         min_kernel_run=4, check=True)
 
 
 def test_corrupted_state_raises(monkeypatch):
@@ -74,13 +112,12 @@ def test_corrupted_state_raises(monkeypatch):
         predictor.update(0x9999, False)  # extra, unreplayed training
         return out
 
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     monkeypatch.setattr(batchapi, "replay_steps", state_scrambling_kernel)
     session = Session("s", spec_for("hmp.local", size=64, history=2),
                       backend="vectorized")
     with pytest.raises(ServeInvariantViolation, match="state"):
-        execute_steps(session, _requests(), "vectorized",
-                      min_kernel_run=4)
+        execute_steps_ex(session, _requests(), "vectorized",
+                         min_kernel_run=4, check=True)
 
 
 def test_divergence_surfaces_in_band_not_fatally(monkeypatch):
@@ -91,12 +128,13 @@ def test_divergence_surfaces_in_band_not_fatally(monkeypatch):
     def broken_kernel(family, predictor, pcs, outcomes, extras):
         raise ServeInvariantViolation("synthetic divergence")
 
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     monkeypatch.setattr(batchapi, "replay_steps", broken_kernel)
 
     async def main():
-        config = ServeConfig(n_shards=1, backend="vectorized",
-                             min_kernel_run=4)
+        config = ServeConfig(n_shards=1, min_kernel_run=4,
+                             policy=ExecutionPolicy(
+                                 backend="vectorized",
+                                 check_invariants="on"))
         async with PredictionService(config) as service:
             await service.open_session("s", spec_for("hmp.local",
                                                      size=64))

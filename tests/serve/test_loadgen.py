@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.serve import PredictionService, ServeConfig
 from repro.serve.loadgen import (
     LoadModel,
@@ -89,7 +90,8 @@ def test_open_loop_under_overload_reports_tail_without_deadlock():
     model = LoadModel(n_sessions=50, spec_kind="binary.gshare",
                       rate_rps=4000.0, seconds=0.4, clients=4, seed=3)
     config = ServeConfig(n_shards=1, max_batch=8, max_delay_us=500,
-                         queue_depth=64, backend="reference")
+                         queue_depth=64,
+                         policy=ExecutionPolicy(backend="reference"))
 
     async def main():
         async with PredictionService(config) as service:
@@ -114,7 +116,7 @@ def test_closed_loop_probe_reports_capacity():
     model = LoadModel(n_sessions=50, spec_kind="binary.gshare",
                       rate_rps=100.0, seconds=0.2, clients=2, seed=3)
     config = ServeConfig(n_shards=1, max_batch=32, max_delay_us=200,
-                         backend="reference")
+                         policy=ExecutionPolicy(backend="reference"))
 
     async def main():
         async with PredictionService(config) as service:

@@ -5,7 +5,7 @@ import io
 
 from repro.api import spec_for
 from repro.serve import (
-    JsonlClient,
+    JsonlHandle,
     PredictRequest,
     PredictionService,
     ServeConfig,
@@ -20,30 +20,30 @@ def test_tcp_round_trip():
         async with PredictionService(ServeConfig(n_shards=2)) as service:
             server = await serve_tcp(service, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            client = await JsonlClient.connect("127.0.0.1", port)
+            client = await JsonlHandle.connect("127.0.0.1", port)
             spec = spec_for("hmp.local", size=64).to_json_dict()
 
-            r = await client.roundtrip(PredictRequest(
+            r = await client.request(PredictRequest(
                 "s", op="open", spec=spec))
             assert r.ok
             for i in range(6):
-                r = await client.roundtrip(PredictRequest(
+                r = await client.request(PredictRequest(
                     "s", op="step", pc=0x40, outcome=1, seq=i))
                 assert r.ok and r.result in (0, 1) and r.seq == i
-            r = await client.roundtrip(PredictRequest("s", op="ping"))
+            r = await client.request(PredictRequest("s", op="ping"))
             assert r.ok
-            r = await client.roundtrip(PredictRequest("s", op="close"))
+            r = await client.request(PredictRequest("s", op="close"))
             assert r.ok and r.result == 6
 
             # Errors come back in-band, not as dropped connections.
-            r = await client.roundtrip(PredictRequest(
+            r = await client.request(PredictRequest(
                 "gone", op="step", pc=4, outcome=1))
             assert not r.ok and r.error == "unknown-session"
-            r = await client.roundtrip(PredictRequest(
+            r = await client.request(PredictRequest(
                 "s2", op="open"))  # open without a spec
             assert not r.ok and "spec" in r.error
 
-            await client.close()
+            await client.aclose()
             server.close()
             await server.wait_closed()
     asyncio.run(main())

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.api import spec_for
+from repro.fastpath.backend import resolve_backend
 from repro.serve import (
     ERR_CLOSED,
     ERR_RETRY,
@@ -209,6 +210,8 @@ def test_stats_shape():
         async with PredictionService(ServeConfig(n_shards=3)) as service:
             stats = service.stats()
             assert stats["config"]["n_shards"] == 3
+            # The default "auto" policy reports what it resolved to.
+            assert stats["config"]["backend"] == resolve_backend(None)
             assert len(stats["shards"]) == 3
             assert set(stats["totals"]) >= {"sessions", "served",
                                             "batches", "kernel_batches",

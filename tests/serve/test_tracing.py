@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.api import spec_for
+from repro.api import ExecutionPolicy, spec_for
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import PredictRequest
 from repro.serve.service import PredictionService
@@ -33,7 +33,7 @@ class TestSpanLifecycle:
         # The acceptance criterion: >= 4 named spans per traced
         # request (decode, queue, batch, kernel/predict, reply).
         config = ServeConfig(n_shards=1, trace_sample_shift=0,
-                             backend="reference")
+                             policy=ExecutionPolicy(backend="reference"))
         service = run(_drive(config))
         tracer = service.tracer
         assert tracer.counters()["spans_finished"] == 64
@@ -47,8 +47,9 @@ class TestSpanLifecycle:
     def test_kernel_stage_on_vectorized_backend(self):
         pytest.importorskip("numpy")
         config = ServeConfig(n_shards=1, trace_sample_shift=0,
-                             backend="vectorized", max_batch=256,
-                             max_delay_us=2000, min_kernel_run=1)
+                             policy=ExecutionPolicy(backend="vectorized"),
+                             max_batch=256, max_delay_us=2000,
+                             min_kernel_run=1)
         service = run(_drive(config))
         seen = set()
         for span in service.tracer.spans:
@@ -93,7 +94,7 @@ class TestSpanLifecycle:
 class TestAggregates:
     def test_summary_separates_queue_from_service(self):
         config = ServeConfig(n_shards=1, trace_sample_shift=0,
-                             backend="reference")
+                             policy=ExecutionPolicy(backend="reference"))
         service = run(_drive(config))
         summary = service.tracer.summary()
         assert "queue" in summary and "total" in summary
@@ -112,7 +113,7 @@ class TestAggregates:
 
     def test_chrome_export_has_all_stage_slices(self, tmp_path):
         config = ServeConfig(n_shards=1, trace_sample_shift=0,
-                             backend="reference")
+                             policy=ExecutionPolicy(backend="reference"))
         service = run(_drive(config))
         doc = service.tracer.chrome_document()
         names = {e["name"] for e in doc["traceEvents"]
@@ -127,21 +128,22 @@ class TestAggregates:
 class TestWireTracing:
     def test_tcp_requests_are_traced_at_decode(self):
         async def scenario():
-            from repro.serve.net import JsonlClient, serve_tcp
+            from repro.serve.handle import JsonlHandle
+            from repro.serve.net import serve_tcp
             config = ServeConfig(n_shards=1, trace_sample_shift=0)
             service = PredictionService(config)
             await service.start()
             server = await serve_tcp(service, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            client = await JsonlClient.connect("127.0.0.1", port)
+            client = await JsonlHandle.connect("127.0.0.1", port)
             spec = spec_for("hmp.local")
-            await client.roundtrip(PredictRequest(
+            await client.request(PredictRequest(
                 "wire", op="open", spec=spec.to_json_dict(), seq=0))
             for i in range(8):
-                response = await client.roundtrip(PredictRequest(
+                response = await client.request(PredictRequest(
                     "wire", op="step", pc=0x80, outcome=1, seq=i + 1))
                 assert response.ok
-            await client.close()
+            await client.aclose()
             server.close()
             await server.wait_closed()
             await service.stop()
