@@ -20,6 +20,7 @@ so numbers are comparable across checkouts.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -223,13 +224,61 @@ def _best_replay(run, repeats: int, n_events: int) -> Dict[str, float]:
     return {"wall_seconds": best, "uops_per_sec": n_events / best}
 
 
+#: The serve-sized sweeps replay this many windows of this many steps.
+WINDOW_STEPS = 256
+WINDOW_COUNT = 64
+
+
+def _window_sweep(kind: str, pcs, outcomes, extras=None):
+    """A ``run(backend)`` replaying ``WINDOW_STEPS``-step windows of the
+    given lanes on a warm ``kind`` predictor, the way the serve tier
+    flushes a session's step run: through the step kernel
+    (``vectorized``) or the scalar loop (``reference``).
+
+    Both backends start from the same state, warmed by one untimed pass
+    over the windows.
+    """
+    import numpy as np
+
+    from repro.api import build_predictor, spec_for
+    from repro.fastpath.batchapi import replay_steps
+    from repro.serve.batch import scalar_steps
+
+    spec = spec_for(kind)
+    lanes = [np.asarray(lane, dtype=np.int64)
+             for lane in (pcs, outcomes, extras) if lane is not None]
+    windows = [tuple(lane[lo:lo + WINDOW_STEPS] for lane in lanes)
+               for lo in range(0, len(lanes[0]), WINDOW_STEPS)]
+    scalar_windows = [tuple(lane.tolist() for lane in window)
+                      for window in windows]
+    warm = build_predictor(spec)
+    for window in windows:
+        replay_steps(spec.family, warm, *window)
+    predictors = {"reference": copy.deepcopy(warm),
+                  "vectorized": copy.deepcopy(warm)}
+
+    def run(backend: str) -> None:
+        predictor = predictors[backend]
+        if backend == "vectorized":
+            for window in windows:
+                replay_steps(spec.family, predictor, *window)
+        else:
+            for window in scalar_windows:
+                scalar_steps(spec.family, predictor, *window)
+
+    return run
+
+
 def measure_fastpath(n_events: int, repeats: int) -> Dict[str, object]:
     """Per-backend throughput of the predictor-only replay sweeps.
 
     These are the table-indexed hot loops the ``repro.fastpath`` batch
     kernels target; each sweep replays the same synthetic event grid
     through a fresh predictor under both backends and reports the
-    vectorized/reference speedup.
+    vectorized/reference speedup.  The ``*_w256`` sweeps instead replay
+    a fixed count of serve-sized windows (``WINDOW_COUNT`` ×
+    ``WINDOW_STEPS`` steps through :func:`repro.fastpath.batchapi.
+    replay_steps`), where a kernel's fixed per-call cost dominates.
     """
     from repro.fastpath import HAS_NUMPY
     if not HAS_NUMPY:
@@ -243,6 +292,7 @@ def measure_fastpath(n_events: int, repeats: int) -> Dict[str, object]:
     from repro.experiments.cht_accuracy import replay as cht_replay
     from repro.experiments.hitmiss_stats import HitMissEvent
     from repro.experiments.hitmiss_stats import replay as hm_replay
+    from repro.fastpath.bank import stream_arrays
     from repro.fastpath.tracegen import (
         synthesize_bank_grid,
         synthesize_collision_grid,
@@ -281,7 +331,24 @@ def measure_fastpath(n_events: int, repeats: int) -> Dict[str, object]:
         "bank_predictor_a": (lambda backend: evaluate(
             make_predictor_a(backend=backend), bank_stream), n_events),
     }
-    out: Dict[str, object] = {"n_events": n_events}
+    n_window_steps = WINDOW_COUNT * WINDOW_STEPS
+    w_pcs, w_hits = synthesize_outcome_grid(4, n_window_steps)
+    c_pcs, _, c_collided, c_dist = synthesize_collision_grid(
+        5, n_window_steps, n_pcs=1021)
+    b_pcs, b_banks = stream_arrays(synthesize_bank_grid(6, n_window_steps))
+    sweeps.update({
+        "hmp_hybrid_w256": (_window_sweep("hmp.hybrid", w_pcs, w_hits),
+                            n_window_steps),
+        "hmp_local_w256": (_window_sweep("hmp.local", w_pcs, w_hits),
+                           n_window_steps),
+        "cht_tagless_w256": (_window_sweep("cht.tagless", c_pcs, c_collided,
+                                           c_dist), n_window_steps),
+        "bank_predictor_a_w256": (_window_sweep("bank.a", b_pcs, b_banks),
+                                  n_window_steps),
+    })
+    out: Dict[str, object] = {"n_events": n_events,
+                              "window_steps": WINDOW_STEPS,
+                              "window_count": WINDOW_COUNT}
     for name, (run, n_replayed) in sweeps.items():
         ref = _best_replay(lambda: run("reference"), repeats, n_replayed)
         vec = _best_replay(lambda: run("vectorized"), repeats, n_replayed)
@@ -291,7 +358,7 @@ def measure_fastpath(n_events: int, repeats: int) -> Dict[str, object]:
             "vectorized_uops_per_sec": vec["uops_per_sec"],
             "speedup": speedup,
         }
-        print(f"  {name:18s} ref {ref['uops_per_sec']:>12,.0f}"
+        print(f"  {name:21s} ref {ref['uops_per_sec']:>12,.0f}"
               f"  vec {vec['uops_per_sec']:>12,.0f} uops/sec"
               f"   ({speedup:.1f}x)")
     return out

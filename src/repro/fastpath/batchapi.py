@@ -16,7 +16,8 @@ The uniform encoding (shared with the wire protocol of
     event), 0/1 for CHTs (collided), 0/1 for hit-miss (**hit**), the
     bank index for bank predictors.
 ``extras``
-    CHTs: collision distance, ``-1`` = none.  Other families: ignored.
+    CHTs: collision distance; any value below 1 (``-1`` by convention)
+    means none.  Other families: ignored.
 
 ``replay_steps`` performs predict→update over the whole group and
 returns an ``int64`` result lane: 0/1 predictions (hit-miss: predicted
@@ -105,8 +106,10 @@ def replay_steps(family: str, predictor: object, pcs: np.ndarray,
         distances = (np.full(len(pcs), -1, dtype=np.int64)
                      if extras is None else np.asarray(extras,
                                                       dtype=np.int64))
-        # The scalar loop passes distance=None for non-collided events.
-        distances = np.where(outcomes.astype(bool), distances, -1)
+        # The scalar loop passes distance=None for non-collided events
+        # and for distances below 1.
+        distances = np.where(outcomes.astype(bool) & (distances >= 1),
+                             distances, -1)
         colliding = fp_cht.tagless_replay(predictor, pcs,
                                           outcomes.astype(bool), distances)
         return colliding.astype(np.int64)

@@ -2,10 +2,10 @@
 
 The Figure 9 harness replays a pre-recorded (pc, collided, distance)
 ground-truth stream through each CHT configuration.  For the tagless
-organisation that is a pure counter-table walk — vectorized exactly by
-:func:`repro.fastpath.scan.clamped_walk` — plus the distance sidecar,
-whose min-update/reset rule depends on per-cell order and gets a scalar
-fixup loop over precomputed indices.
+organisation that is a pure counter-table walk over the cells a chunk
+touches — vectorized exactly by :func:`repro.fastpath.scan.clamped_walk`
+— plus the distance sidecar, whose min-update/reset rule depends on
+per-cell order and gets a segmented reduce over the same cells.
 
 Differential tests: ``tests/fastpath/test_cht_diff.py``.
 """
@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.cht.tagless import TaglessCHT
 from repro.fastpath.indices import pc_index_arr
+from repro.fastpath.predictors import gather, scatter
 from repro.fastpath.scan import clamped_walk
 
 
@@ -66,14 +67,11 @@ def _tagless_replay_once(cht: TaglessCHT, pcs, collided,
     indices = pc_index_arr(pcs, cht.n_entries)
     max_value = cht._counters[0]._max
     threshold = cht._counters[0]._threshold
-    initial = np.fromiter((c.value for c in cht._counters),
-                          dtype=np.int64, count=cht.n_entries)
-    steps = np.where(collided, 1, -1)
-    order = np.argsort(indices, kind="stable")
-    before, after, final = clamped_walk(indices, steps, initial, max_value,
-                                        order=order)
-    for cell, value in zip(cht._counters, final.tolist()):
-        cell.value = value
+    state = gather(cht._counters, indices)
+    order = state.order
+    before, after, final = clamped_walk(state.ids, np.where(collided, 1, -1),
+                                        state.initial, max_value, order=order)
+    scatter(cht._counters, state.touched, final.tolist())
 
     # Distance sidecar: min-update on supplied distances, reset to None
     # whenever a train leaves the counter predicting "not colliding".

@@ -13,6 +13,8 @@ indices and mixed with Python ints.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.common.bits import _MIX, ilog2
@@ -26,18 +28,22 @@ def as_u64(values) -> np.ndarray:
 
 
 def fold_arr(values: np.ndarray, n_bits: int) -> np.ndarray:
-    """XOR-fold each element down to ``n_bits`` bits (= ``bits.fold``)."""
+    """XOR-fold each element down to ``n_bits`` bits (= ``bits.fold``).
+
+    The scalar loop runs while the value is non-zero; folding in extra
+    zero chunks is an XOR no-op, so running every element for the pass
+    count of the widest one is exact.
+    """
     if n_bits <= 0:
         raise ValueError("n_bits must be positive")
-    v = as_u64(values).copy()
+    v = as_u64(values)
     m = _U64((1 << n_bits) - 1)
     shift = _U64(n_bits)
-    folded = np.zeros_like(v)
-    # The scalar loop runs while value != 0; folding in extra zero
-    # chunks is an XOR no-op, so a fixed 64/n_bits-pass loop is exact.
-    while bool(np.any(v)):
+    folded = v & m
+    widest = int(v.max()).bit_length() if len(v) else 0
+    for _ in range((widest - 1) // n_bits):
+        v = v >> shift
         folded ^= v & m
-        v >>= shift
     return folded.astype(np.int64)
 
 
@@ -76,18 +82,18 @@ def _h_inv_arr(values: np.ndarray, n_bits: int) -> np.ndarray:
     return (v >> _U64(1)) | ((lsb ^ msb) << _U64(n_bits - 1))
 
 
-def skew_index_arr(pcs: np.ndarray, histories: np.ndarray, bank: int,
-                   n_entries: int, shift: int = 2) -> np.ndarray:
-    """Per-element ``bits.skew_index`` for one gskew bank."""
+def skew_indices_arr(pcs: np.ndarray, histories: np.ndarray,
+                     n_entries: int, shift: int = 2,
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-element ``bits.skew_index`` for gskew banks 0, 1 and 2.
+
+    The folded pc and history are shared by the three skewing
+    functions, so they are folded once for all banks.
+    """
     n_bits = ilog2(n_entries)
     v1 = as_u64(fold_arr(as_u64(pcs) >> _U64(shift), n_bits))
     v2 = as_u64(fold_arr(histories, n_bits))
-    if bank == 0:
-        out = _h_arr(v1, n_bits) ^ _h_inv_arr(v2, n_bits) ^ v2
-    elif bank == 1:
-        out = _h_arr(v1, n_bits) ^ _h_inv_arr(v2, n_bits) ^ v1
-    elif bank == 2:
-        out = _h_arr(v2, n_bits) ^ _h_inv_arr(v1, n_bits) ^ v2
-    else:
-        raise ValueError("gskew has exactly three banks")
-    return out.astype(np.int64)
+    mixed = _h_arr(v1, n_bits) ^ _h_inv_arr(v2, n_bits)
+    banks = (mixed ^ v2, mixed ^ v1,
+             _h_arr(v2, n_bits) ^ _h_inv_arr(v1, n_bits) ^ v2)
+    return tuple(bank.astype(np.int64) for bank in banks)

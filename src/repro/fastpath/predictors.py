@@ -14,12 +14,17 @@ exception is gskew's *partial update* (whether a bank trains depends on
 the other banks' current counters), which gets a scalar fixup loop over
 precomputed indices instead of a scan.
 
+State crosses the Python/numpy boundary only for the cells a chunk
+indexes: :func:`gather` reads them into compact arrays the scans walk,
+and :func:`scatter` writes exactly those cells back.  A chunk's cost
+is therefore set by its length, not by the predictor's table sizes.
+
 Differential tests: ``tests/fastpath/test_predictor_diff.py``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from repro.fastpath.indices import (
     fold_arr,
     gshare_index_arr,
     pc_index_arr,
-    skew_index_arr,
+    skew_indices_arr,
 )
 from repro.fastpath.scan import clamped_walk, global_history_walk, history_walk
 from repro.predictors.bimodal import BimodalPredictor
@@ -51,14 +56,53 @@ def supports(predictor) -> bool:
     return kind in _LEAF_KERNELS
 
 
-def _table_values(table) -> np.ndarray:
-    return np.fromiter((c.value for c in table), dtype=np.int64,
-                       count=len(table))
+class Cells(NamedTuple):
+    """The cells one chunk indexes, as :func:`gather` hands them out."""
+
+    #: Distinct table indices, ascending.
+    touched: list
+    #: Per event, the position of its cell in ``touched``.
+    ids: np.ndarray
+    #: Stable argsort of the events by cell (valid for ``ids`` too).
+    order: np.ndarray
+    #: The touched cells' values at chunk entry.
+    initial: list
 
 
-def _writeback(table, values: np.ndarray) -> None:
-    for cell, value in zip(table, values.tolist()):
-        cell.value = value
+def gather(table, cell_ids: np.ndarray) -> Cells:
+    """The state a chunk can reach: only the cells its events index.
+
+    ``table`` is a list of counters (read through ``.value``) or of
+    plain int registers.  The scans run on the compact ``ids`` and
+    :func:`scatter` writes the final values back, so a chunk costs
+    what it touches, not the table size.
+    """
+    # Sort keys in the narrowest type that holds a table index: numpy's
+    # stable sort is a radix sort for keys of 16 bits or fewer.
+    order = np.argsort(cell_ids.astype(np.min_scalar_type(len(table) - 1)),
+                       kind="stable")
+    ordered = cell_ids[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    touched = ordered[first].tolist()
+    ids = np.empty(len(ordered), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    if type(table[0]) is int:
+        initial = [table[i] for i in touched]
+    else:
+        initial = [table[i].value for i in touched]
+    return Cells(touched, ids, order, initial)
+
+
+def scatter(table, touched: list, values: list) -> None:
+    """Write ``values`` (Python ints) back to the ``touched`` cells."""
+    if type(table[0]) is int:
+        for i, value in zip(touched, values):
+            table[i] = value
+    else:
+        for i, value in zip(touched, values):
+            table[i].value = value
 
 
 def _counter_confidence(before: np.ndarray, threshold: int,
@@ -84,10 +128,11 @@ def _counter_replay(table, indices: np.ndarray, outcomes: np.ndarray,
     per-event (prediction, confidence) read just before each train."""
     max_value = table[0]._max
     threshold = table[0]._threshold
-    steps = np.where(outcomes, 1, -1)
-    before, _, final = clamped_walk(indices, steps, _table_values(table),
-                                    max_value)
-    _writeback(table, final)
+    cells = gather(table, indices)
+    before, _, final = clamped_walk(cells.ids, np.where(outcomes, 1, -1),
+                                    cells.initial, max_value,
+                                    order=cells.order)
+    scatter(table, cells.touched, final.tolist())
     return _counter_confidence(before, threshold, max_value)
 
 
@@ -100,10 +145,11 @@ def _bimodal_replay(pred: BimodalPredictor, pcs: np.ndarray,
 def _local_replay(pred: LocalPredictor, pcs: np.ndarray,
                   outcomes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     hist_idx = pc_index_arr(pcs, pred.n_entries)
-    initial = np.asarray(pred._histories, dtype=np.int64)
-    hist_before, hist_final = history_walk(hist_idx, outcomes, initial,
-                                           pred.history_bits)
-    pred._histories[:] = hist_final.tolist()
+    cells = gather(pred._histories, hist_idx)
+    hist_before, hist_final = history_walk(cells.ids, outcomes,
+                                           cells.initial, pred.history_bits,
+                                           order=cells.order)
+    scatter(pred._histories, cells.touched, hist_final.tolist())
     pattern_idx = fold_arr(hist_before, bits.ilog2(pred.pattern_entries))
     return _counter_replay(pred._pattern, pattern_idx, outcomes)
 
@@ -124,43 +170,50 @@ def _gskew_replay(pred: GSkewPredictor, pcs: np.ndarray,
     The e-gskew partial update couples the three banks (a dissenting
     bank is left alone only when the *majority* was correct), so the
     counter evolution is not a per-cell scan; the fixup loop runs over
-    plain Python lists with all indices precomputed, which is still
-    several times cheaper than the full scalar object path.
+    the banks' touched values as plain Python lists, with every index
+    precomputed, which is still several times cheaper than the full
+    scalar object path.
     """
     hist_before, hist_final = global_history_walk(
         outcomes, pred._history, pred.history_bits)
     pred._history = hist_final
-    index_lists = [
-        skew_index_arr(pcs, hist_before, b, pred.bank_entries).tolist()
-        for b in range(pred.N_BANKS)
+    gathered = [
+        gather(bank, indices) for bank, indices in zip(
+            pred._banks,
+            skew_indices_arr(pcs, hist_before, pred.bank_entries))
     ]
-    banks = [[cell.value for cell in bank] for bank in pred._banks]
+    c0, c1, c2 = (cells.ids.tolist() for cells in gathered)
+    # The touched values, trained in place and then scattered back.
+    values = [cells.initial for cells in gathered]
+    b0, b1, b2 = values
     max_value = pred._banks[0][0]._max
     threshold = pred._banks[0][0]._threshold
-    outcome_list = outcomes.tolist()
-    n = len(outcome_list)
-    out = np.empty(n, dtype=bool)
-    conf = np.empty(n, dtype=np.float64)
-    for j in range(n):
-        cells = [(bank, idx[j]) for bank, idx in zip(banks, index_lists)]
-        votes = [bank[i] >= threshold for bank, i in cells]
-        ayes = votes[0] + votes[1] + votes[2]
-        predicted = ayes >= 2
-        out[j] = predicted
-        conf[j] = 1.0 if ayes in (0, 3) else 0.5
-        outcome = outcome_list[j]
-        for vote, (bank, i) in zip(votes, cells):
-            if predicted == outcome and vote != outcome:
-                continue  # leave the dissenting bank alone
-            if outcome:
-                if bank[i] < max_value:
-                    bank[i] += 1
-            elif bank[i] > 0:
-                bank[i] -= 1
-    for bank_cells, values in zip(pred._banks, banks):
-        for cell, value in zip(bank_cells, values):
-            cell.value = value
-    return out, conf
+    ayes = []
+    for i, k, m, outcome in zip(c0, c1, c2, outcomes.tolist()):
+        x, y, z = b0[i], b1[k], b2[m]
+        vx, vy, vz = x >= threshold, y >= threshold, z >= threshold
+        votes = vx + vy + vz
+        ayes.append(votes)
+        # A bank trains unless the majority was right and it dissented.
+        retrain = (votes >= 2) != outcome
+        if outcome:
+            if x < max_value and (vx or retrain):
+                b0[i] = x + 1
+            if y < max_value and (vy or retrain):
+                b1[k] = y + 1
+            if z < max_value and (vz or retrain):
+                b2[m] = z + 1
+        else:
+            if x > 0 and (retrain or not vx):
+                b0[i] = x - 1
+            if y > 0 and (retrain or not vy):
+                b1[k] = y - 1
+            if z > 0 and (retrain or not vz):
+                b2[m] = z - 1
+    for bank, cells, final in zip(pred._banks, gathered, values):
+        scatter(bank, cells.touched, final)
+    ayes = np.array(ayes, dtype=np.int64)
+    return ayes >= 2, np.where((ayes == 0) | (ayes == 3), 1.0, 0.5)
 
 
 _LEAF_KERNELS.update({
@@ -229,8 +282,10 @@ def replay(predictor, pcs, outcomes,
 
     Events are processed in fixed-size chunks; all cross-chunk
     dependencies (counter tables, history registers) flow through the
-    predictor object's own state, which every kernel reads at chunk
-    entry and writes back exactly at chunk exit.
+    predictor object's own state.  At chunk entry every kernel reads
+    only the cells the chunk indexes (:func:`gather`), and at chunk exit
+    it writes back exactly those cells (:func:`scatter`); cells the
+    chunk never indexes are neither read nor written.
     """
     pcs = np.asarray(pcs, dtype=np.int64)
     outcomes = np.asarray(outcomes, dtype=bool)

@@ -21,7 +21,8 @@ evolution into a scan problem:
 * **History registers.**  ``shift_history`` makes the register before
   event ``t`` a bit-window of the last ``length`` outcomes of the same
   register (padded with the initial register's bits), which a bounded
-  loop of shifted ORs reconstructs directly.
+  loop of shifted ORs reconstructs directly — or, for one shared
+  register, a single sliding-window pass.
 
 Both scans are pinned against the scalar reference by
 ``tests/fastpath/test_scan.py`` over randomized grids.
@@ -32,15 +33,22 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _U64 = np.uint64
+
+
+def _clip(values, low, high):
+    """``np.clip`` without its per-call dispatch overhead, which the
+    short arrays of a serve-sized window feel (every ``low <= high``)."""
+    return np.minimum(np.maximum(values, low), high)
 
 
 def _compose_clip_affine(a1, l1, h1, a2, l2, h2):
     """Compose two clip-affine maps (apply 1 first, then 2)."""
     a = a1 + a2
-    low = np.clip(l1 + a2, l2, h2)
-    high = np.clip(h1 + a2, l2, h2)
+    low = _clip(l1 + a2, l2, h2)
+    high = _clip(h1 + a2, l2, h2)
     return a, low, high
 
 
@@ -108,7 +116,7 @@ def clamped_walk(cell_ids: np.ndarray, steps: np.ndarray,
         high[offset:] = np.where(same[offset:], ch, high[offset:])
         offset *= 2
 
-    after_sorted = np.clip(initial[seg] + a, low, high)
+    after_sorted = _clip(initial[seg] + a, low, high)
     before_sorted = np.empty(n, dtype=np.int64)
     before_sorted[0] = initial[seg[0]]
     same_prev = seg[1:] == seg[:-1]
@@ -127,6 +135,7 @@ def clamped_walk(cell_ids: np.ndarray, steps: np.ndarray,
 
 def history_walk(group_ids: np.ndarray, outcomes: np.ndarray,
                  initial: np.ndarray, length: int,
+                 order: np.ndarray = None,
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Replay ``h = ((h << 1) | outcome) & mask(length)`` per group.
 
@@ -140,6 +149,8 @@ def history_walk(group_ids: np.ndarray, outcomes: np.ndarray,
         Per-register starting values (length = register count).
     length:
         History length in bits.
+    order:
+        Optional precomputed ``np.argsort(group_ids, kind="stable")``.
 
     Returns
     -------
@@ -156,7 +167,8 @@ def history_walk(group_ids: np.ndarray, outcomes: np.ndarray,
         return np.zeros(0, dtype=np.int64), final
     mask = _U64((1 << length) - 1) if length > 0 else _U64(0)
 
-    order = np.argsort(group_ids, kind="stable")
+    if order is None:
+        order = np.argsort(group_ids, kind="stable")
     seg = group_ids[order]
     bits = outcomes[order].astype(_U64)
 
@@ -194,9 +206,22 @@ def history_walk(group_ids: np.ndarray, outcomes: np.ndarray,
 
 def global_history_walk(outcomes: np.ndarray, initial: int,
                         length: int) -> Tuple[np.ndarray, int]:
-    """:func:`history_walk` for a single shared register (gshare/gskew)."""
+    """:func:`history_walk` for a single shared register (gshare/gskew).
+
+    With one register, the value event ``t`` sees is the ``length``-bit
+    window that ends just before ``t`` in the bit stream (the initial
+    register's bits, most significant first, then the outcomes).  One
+    sliding-window pass over that stream yields every event's register
+    and, from the window after the last event, the final register.
+    """
     outcomes = np.asarray(outcomes, dtype=bool)
-    before, final = history_walk(
-        np.zeros(len(outcomes), dtype=np.int64), outcomes,
-        np.array([initial], dtype=np.int64), length)
-    return before, int(final[0])
+    n = len(outcomes)
+    if length <= 0:
+        return np.zeros(n, dtype=np.int64), 0
+    shifts = range(length - 1, -1, -1)
+    stream = np.concatenate((
+        np.array([(initial >> k) & 1 for k in shifts], dtype=_U64),
+        outcomes.astype(_U64)))
+    weights = np.array([1 << k for k in shifts], dtype=_U64)
+    registers = (sliding_window_view(stream, length) @ weights).astype(np.int64)
+    return registers[:n], int(registers[n])

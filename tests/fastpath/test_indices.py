@@ -12,7 +12,7 @@ from repro.fastpath.indices import (
     fold_arr,
     gshare_index_arr,
     pc_index_arr,
-    skew_index_arr,
+    skew_indices_arr,
 )
 
 SEEDS = (1, 2, 3)
@@ -32,6 +32,15 @@ class TestFold:
         expected = [bits.fold(v, n_bits) for v in values]
         got = fold_arr(np.array(values, dtype=np.uint64), n_bits)
         assert got.tolist() == expected
+
+    def test_empty_and_zero_inputs(self):
+        assert fold_arr(np.zeros(0, dtype=np.uint64), 4).tolist() == []
+        assert fold_arr(np.zeros(3, dtype=np.uint64), 4).tolist() == [0] * 3
+
+    def test_input_is_not_modified(self):
+        values = np.array([(1 << 40) - 1, 7], dtype=np.uint64)
+        fold_arr(values, 5)
+        assert values.tolist() == [(1 << 40) - 1, 7]
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
@@ -77,14 +86,10 @@ class TestSkewIndex:
         hists = [rng.randrange(1 << 20) for _ in pcs]
         expected = [bits.skew_index(pc, h, bank, n_entries)
                     for pc, h in zip(pcs, hists)]
-        got = skew_index_arr(np.array(pcs, dtype=np.int64),
-                             np.array(hists, dtype=np.int64),
-                             bank, n_entries)
+        got = skew_indices_arr(np.array(pcs, dtype=np.int64),
+                               np.array(hists, dtype=np.int64),
+                               n_entries)[bank]
         assert got.tolist() == expected
-
-    def test_rejects_fourth_bank(self):
-        with pytest.raises(ValueError):
-            skew_index_arr(np.array([0]), np.array([0]), 3, 64)
 
 
 class TestMixers:

@@ -119,3 +119,19 @@ class TestGlobalHistoryWalk:
             np.array(outcomes, dtype=bool), history, 11)
         assert before.tolist() == expected
         assert final == register
+
+    @pytest.mark.parametrize("length", [0, 1, 5, 20])
+    @pytest.mark.parametrize("n", [0, 1, 3, 64])
+    def test_short_streams_and_widths(self, length, n):
+        rng = random.Random(length * 100 + n)
+        outcomes = [rng.random() < 0.5 for _ in range(n)]
+        register = rng.randrange(1 << length) if length else 0
+        expected = []
+        for outcome in outcomes:
+            expected.append(register)
+            register = bits.shift_history(register, outcome, length)
+        before, final = global_history_walk(
+            np.array(outcomes, dtype=bool), expected[0] if n else register,
+            length)
+        assert before.tolist() == expected
+        assert final == register

@@ -2,12 +2,14 @@
 
 import copy
 import json
+import os
 
 import pytest
 
 from repro.obs.__main__ import main
 from repro.obs.gate import (
     Violation,
+    _row_key,
     append_history,
     compare,
     extract_metrics,
@@ -234,3 +236,14 @@ class TestGateCli:
         report = self._write(tmp_path, "junk.json", {"not": "a bench"})
         assert main(["gate", report,
                      "--history", str(tmp_path / "h.jsonl")]) == 2
+
+
+def test_committed_history_has_unique_in_repo_rows():
+    path = os.path.join(os.path.dirname(__file__), "..", "..",
+                        "BENCH_history.jsonl")
+    rows = read_history(path)
+    assert rows
+    keys = [_row_key(row) for row in rows]
+    assert len(set(keys)) == len(keys), "duplicate history rows"
+    for row in rows:
+        assert not os.path.isabs(row["source"]), row["source"]
