@@ -364,6 +364,110 @@ def measure_fastpath(n_events: int, repeats: int) -> Dict[str, object]:
     return out
 
 
+#: The fleet_snapshot section's shape: ``fleet_steps``'s session spec,
+#: sessions per worker, and the fleet's default ``wal_limit``.
+SNAPSHOT_SPEC = ("hmp.gshare", {"history": 7})
+SNAPSHOT_SESSIONS = 128
+SNAPSHOT_WAL_RECORDS = 8192
+#: Each step is milliseconds, too short for ``--repeats`` (2 by
+#: default) to beat scheduler noise: keep the fastest of this many.
+SNAPSHOT_ROUNDS = 7
+
+
+def measure_fleet_snapshot() -> Dict[str, object]:
+    """Per-layer cost of one fleet worker snapshot.
+
+    ``SNAPSHOT_SESSIONS`` warm sessions on one service, timed the way a
+    fleet snapshot runs them:
+
+    * ``encode_us`` — the worker's share: the shard snapshot barrier
+      plus encoding the session state as a ``snap_part`` frame;
+    * ``persist_us`` — the router's ``save_snapshot`` of the payload as
+      it holds it after decoding that frame;
+    * ``truncate_us`` — ``WriteAheadLog.truncate`` at a snapshot mark
+      taken after ``SNAPSHOT_WAL_RECORDS`` single-step records (64 per
+      append, as admission flushes write them), with 512 more behind
+      the mark.
+    """
+    import asyncio
+    import pickle
+    import random
+    import shutil
+    import tempfile
+
+    from repro.api import spec_for
+    from repro.serve import (
+        PredictRequest,
+        PredictionService,
+        ServeConfig,
+        save_snapshot,
+    )
+    from repro.serve.protocol import (
+        FRAME_HEADER,
+        encode_frame,
+        request_to_wire,
+    )
+    from repro.serve.wal import WriteAheadLog
+
+    kind, params = SNAPSHOT_SPEC
+    spec = spec_for(kind, **params)
+    rng = random.Random(7)
+    steps = [PredictRequest(f"s{i % SNAPSHOT_SESSIONS}", op="step",
+                            pc=0x400 + 4 * rng.randrange(256),
+                            outcome=rng.randrange(2), seq=i)
+             for i in range(SNAPSHOT_WAL_RECORDS + 512)]
+
+    async def encode():
+        async with PredictionService(ServeConfig()) as service:
+            for i in range(SNAPSHOT_SESSIONS):
+                await service.open_session(f"s{i}", spec)
+            await asyncio.gather(*(service.submit(r) for r in steps))
+            best, frame = None, b""
+            for _ in range(SNAPSHOT_ROUNDS):
+                start = time.perf_counter()
+                payload = await service.snapshot_payload()
+                frame = encode_frame(("snap_part", 1, payload["sessions"]))
+                elapsed = time.perf_counter() - start
+                best = elapsed if best is None else min(best, elapsed)
+            return best, payload["schema"], frame
+
+    encode_s, schema, frame = asyncio.run(encode())
+    sessions = pickle.loads(frame[FRAME_HEADER.size:])[2]
+    routed = {"schema": schema, "sessions": sessions}
+    records = [("req", request_to_wire(r)) for r in steps]
+    root = tempfile.mkdtemp(prefix="bench-snapshot-")
+    persist: List[float] = []
+    truncate: List[float] = []
+    try:
+        for round_ in range(SNAPSHOT_ROUNDS):
+            start = time.perf_counter()
+            save_snapshot(root, "snap-w0", routed)
+            persist.append(time.perf_counter() - start)
+            with WriteAheadLog(os.path.join(root, f"wal-{round_}.log")) as wal:
+                for lo in range(0, SNAPSHOT_WAL_RECORDS, 64):
+                    wal.append(records[lo:lo + 64])
+                mark = wal.mark()
+                for lo in range(SNAPSHOT_WAL_RECORDS, len(records), 64):
+                    wal.append(records[lo:lo + 64])
+                start = time.perf_counter()
+                wal.truncate(mark)
+                truncate.append(time.perf_counter() - start)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    out = {"sessions": SNAPSHOT_SESSIONS,
+           "spec": spec.to_json_dict(),
+           "wal_records": SNAPSHOT_WAL_RECORDS,
+           "frame_bytes": len(frame),
+           "encode_us": encode_s * 1e6,
+           "persist_us": min(persist) * 1e6,
+           "truncate_us": min(truncate) * 1e6}
+    print(f"  encode {out['encode_us'] / 1e3:8.2f} ms   persist "
+          f"{out['persist_us'] / 1e3:8.2f} ms   truncate "
+          f"{out['truncate_us'] / 1e3:8.2f} ms   "
+          f"({len(frame) / SNAPSHOT_SESSIONS:,.0f} B/session)")
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trace", default="gcc")
@@ -430,6 +534,9 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"({args.fastpath_events} events each):")
         report["fastpath"] = measure_fastpath(args.fastpath_events,
                                               args.repeats)
+    print(f"fleet snapshot ({SNAPSHOT_SESSIONS} sessions, "
+          f"{SNAPSHOT_WAL_RECORDS}-record WAL):")
+    report["fleet_snapshot"] = measure_fleet_snapshot()
     if not args.skip_obs_overhead:
         jsonl_path = args.out + ".events.tmp.jsonl"
         try:

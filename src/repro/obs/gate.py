@@ -79,9 +79,11 @@ def extract_metrics(report: Mapping[str, object]) -> Dict[str, float]:
     * throughput reports → ``schemes.<name>.uops_per_sec``,
       ``engine.<scheme>.{reference,vectorized}_uops_per_sec`` (the
       whole-machine replay backends, docs/engine.md),
-      ``fastpath.<sweep>.{reference,vectorized}_uops_per_sec`` and
+      ``fastpath.<sweep>.{reference,vectorized}_uops_per_sec``,
       ``observability.observed_uops_per_sec`` (the kernel collecting
-      occupancy and the stall breakdown).
+      occupancy and the stall breakdown) and
+      ``fleet_snapshot.{encode,persist,truncate}_us`` (one fleet
+      worker snapshot, layer by layer; lower is better).
     """
     out: Dict[str, float] = {}
     if report.get("bench") == "repro.serve":
@@ -123,6 +125,12 @@ def extract_metrics(report: Mapping[str, object]) -> Dict[str, float]:
             value = observability.get("observed_uops_per_sec")
             if isinstance(value, (int, float)):
                 out["observability.observed_uops_per_sec"] = float(value)
+        snapshot = report.get("fleet_snapshot")
+        if isinstance(snapshot, Mapping):
+            for key in ("encode_us", "persist_us", "truncate_us"):
+                value = snapshot.get(key)
+                if isinstance(value, (int, float)):
+                    out[f"fleet_snapshot.{key}"] = float(value)
         return out
     raise ValueError(
         "unrecognised bench report: expected a repro.serve report "

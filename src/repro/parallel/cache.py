@@ -136,13 +136,14 @@ class ResultCache:
         #: never leave a half-written ``.pkl`` behind.
         self.fault_hook = None
 
-    def _path(self, key: str) -> str:
+    def path(self, key: str) -> str:
+        """The envelope file of ``key``."""
         return os.path.join(self.root, key[:2], key + ".pkl")
 
     def load(self, key: str, material: str) -> Tuple[bool, object]:
         """``(True, payload)`` on a verified hit, ``(False, None)``
         otherwise."""
-        path = self._path(key)
+        path = self.path(key)
         if not os.path.exists(path):
             self.misses += 1
             return False, None
@@ -167,7 +168,7 @@ class ResultCache:
         return True, envelope.get("payload")
 
     def store(self, key: str, material: str, payload: object) -> None:
-        path = self._path(key)
+        path = self.path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         envelope = {
             "schema": CACHE_SCHEMA,

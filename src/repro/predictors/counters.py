@@ -60,6 +60,13 @@ class SaturatingCounter:
             raise ValueError("reset value out of range")
         self.value = value
 
+    def __reduce__(self):
+        # Compact pickles: a snapshot holds one of these per table
+        # entry, and the default slotted-object state (a dict of all
+        # four slots per cell) is larger and slower to encode than the
+        # three constructor arguments.
+        return (type(self), (self.bits, self.value, self._threshold))
+
     def __repr__(self) -> str:
         return f"SaturatingCounter(bits={self.bits}, value={self.value})"
 
@@ -91,6 +98,9 @@ class StickyBit:
 
     def reset(self) -> None:
         self.value = False
+
+    def __reduce__(self):
+        return (type(self), (self.value,))
 
     def __repr__(self) -> str:
         return f"StickyBit({self.value})"

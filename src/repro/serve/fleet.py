@@ -34,7 +34,9 @@ state is therefore always ``last persisted snapshot + WAL suffix``:
 The WAL is *bounded* by snapshotting, not by discarding: when a log
 passes ``wal_limit`` records the router takes a snapshot at a barrier
 mark, persists it (:mod:`repro.serve.snapshot` envelopes) and
-truncates the log to the mark.
+truncates the log to the mark.  Snapshot state is per-session blobs
+the worker's shards encoded at the barrier; the router persists,
+moves and restores them by session id without ever decoding one.
 
 Rebalance / elastic resize
 --------------------------
@@ -82,7 +84,12 @@ from repro.serve.protocol import (
     request_to_wire,
 )
 from repro.serve.ring import HashRing
-from repro.serve.snapshot import load_snapshot, save_snapshot
+from repro.serve.snapshot import (
+    SNAPSHOT_SCHEMA,
+    load_snapshot,
+    save_snapshot,
+    snapshot_path,
+)
 from repro.serve.wal import WriteAheadLog
 
 #: Exit code of a fault-plan kill (mirrors repro.robust.faults).
@@ -222,23 +229,28 @@ class ServeFleet:
         worker is rebuilt as snapshot + full WAL replay — the router
         restart path.  Otherwise a fresh fleet of ``n_workers`` spawns.
         """
-        self._server = await asyncio.start_server(
-            self._on_worker_connect, host="127.0.0.1", port=0)
-        self._port = self._server.sockets[0].getsockname()[1]
         manifest = self._read_manifest() if recover else None
         names = (manifest["workers"] if manifest
                  else [f"w{i}" for i in range(self.n_workers)])
+        recovering = manifest is not None
+        # Read (and schema-check) every snapshot before spawning
+        # anything, so a refused state_dir leaves no process behind.
+        snaps = ({name: self._stored_snapshot(name) for name in names}
+                 if recovering else {})
+        self._server = await asyncio.start_server(
+            self._on_worker_connect, host="127.0.0.1", port=0)
+        self._port = self._server.sockets[0].getsockname()[1]
         self._next_index = 1 + max(
             (int(n[1:]) for n in names if n[1:].isdigit()),
             default=len(names) - 1)
-        recovering = manifest is not None
         await asyncio.gather(*(
-            self._bring_up(name, index, recover=recovering)
+            self._bring_up(name, index, recover=recovering,
+                           snap=snaps.get(name))
             for index, name in enumerate(names)))
         for name in names:
             self.ring.add_node(name)
         if recovering:
-            self._rebuild_session_book()
+            self._rebuild_session_book(snaps)
         self._write_manifest()
         self._accepting = True
         return self
@@ -349,16 +361,17 @@ class ServeFleet:
         worker.reader_task = asyncio.ensure_future(
             self._reader_loop(worker))
 
-    async def _bring_up(self, name: str, index: int,
-                        recover: bool) -> None:
+    async def _bring_up(self, name: str, index: int, recover: bool,
+                        snap: Optional[Dict] = None) -> None:
+        """Spawn one worker; with ``recover``, rebuild it as ``snap``
+        (its stored snapshot, if any) plus a full WAL replay."""
         worker = _Worker(name, index,
                          os.path.join(self.state_dir, f"wal-{name}.log"))
         self.workers[name] = worker
         await self._spawn_process(worker)
         if recover:
-            snap = load_snapshot(self.state_dir, f"snap-{name}")
             if snap is not None:
-                await self._send_restore(worker, snap)
+                await self._send_restore(worker, snap["sessions"])
             await self._replay(worker)
         else:
             worker.live.set()
@@ -394,13 +407,28 @@ class ServeFleet:
             json.dump(payload, fh)
         os.replace(tmp, self._manifest_path())
 
-    def _rebuild_session_book(self) -> None:
+    def _stored_snapshot(self, name: str) -> Optional[Dict]:
+        """Worker ``name``'s persisted snapshot (None if there is none).
+
+        A payload of another schema is refused, not skipped: its WAL
+        prefix is already truncated, so recovering without it would
+        silently drop sessions."""
+        snap = load_snapshot(self.state_dir, f"snap-{name}")
+        if snap is not None and snap.get("schema") != SNAPSHOT_SCHEMA:
+            raise FleetError(
+                f"snapshot {snapshot_path(self.state_dir, f'snap-{name}')}"
+                f" has schema {snap.get('schema')!r}; this router reads "
+                f"schema {SNAPSHOT_SCHEMA} only")
+        return snap
+
+    def _rebuild_session_book(self, snaps: Dict[str, Optional[Dict]]
+                              ) -> None:
         """After router-restart recovery: sessions = snapshot keys ∪
         WAL opens − WAL closes, per worker."""
         self._sessions.clear()
         for worker in self.workers.values():
             present: Set[str] = set()
-            snap = load_snapshot(self.state_dir, f"snap-{worker.name}")
+            snap = snaps.get(worker.name)
             if snap is not None:
                 present.update(snap["sessions"].keys())
             for record in worker.wal.replay():
@@ -575,13 +603,13 @@ class ServeFleet:
     RESTORE_CHUNK = 1024
 
     async def _send_restore(self, worker: _Worker,
-                            payload: Dict[str, object]) -> int:
-        """Ship a snapshot payload to a worker in bounded chunks
-        (restore controls are additive per session)."""
-        items = list(payload["sessions"].items())
+                            sessions: Dict[str, bytes]) -> int:
+        """Ship session blobs to a worker in bounded chunks (restore
+        controls are additive per session)."""
+        items = list(sessions.items())
         total = 0
         for i in range(0, len(items), self.RESTORE_CHUNK):
-            chunk = {"schema": payload.get("schema", 1),
+            chunk = {"schema": SNAPSHOT_SCHEMA,
                      "sessions": dict(items[i:i + self.RESTORE_CHUNK])}
             total += await self._transient_control(worker,
                                                    ("restore", chunk))
@@ -682,9 +710,9 @@ class ServeFleet:
         # replay; the dead link's FIFO is meaningless now.
         worker.ctl_fifo.clear()
         await self._spawn_process(worker)
-        snap = load_snapshot(self.state_dir, f"snap-{worker.name}")
+        snap = self._stored_snapshot(worker.name)
         if snap is not None:
-            await self._send_restore(worker, snap)
+            await self._send_restore(worker, snap["sessions"])
         await self._replay(worker)
         self._recoveries += 1
 
@@ -829,20 +857,19 @@ class ServeFleet:
         moved = 0
         for old_name in old_names:
             sessions = payloads[old_name]["sessions"]
-            for session_id, state in sessions.items():
+            for session_id, blob in sessions.items():
                 new_name = new_ring.node_for(session_id)
                 if new_name != old_name:
                     bundle = moves.setdefault(
                         new_name, {"sessions": {}, "from": []})
-                    bundle["sessions"][session_id] = state
+                    bundle["sessions"][session_id] = blob
                     bundle["from"].append((old_name, session_id))
                     moved += 1
         # Restore moved sessions on their new owners, evict from old.
         evictions: Dict[str, List[str]] = {}
         for new_name, bundle in moves.items():
-            await self._send_restore(
-                self.workers[new_name],
-                {"schema": 1, "sessions": bundle["sessions"]})
+            await self._send_restore(self.workers[new_name],
+                                     bundle["sessions"])
             for old_name, session_id in bundle["from"]:
                 evictions.setdefault(old_name, []).append(session_id)
         for old_name, session_ids in evictions.items():

@@ -40,6 +40,7 @@ from repro.serve.protocol import (
     PredictResponse,
 )
 from repro.serve.shard import Shard
+from repro.serve.snapshot import SNAPSHOT_SCHEMA
 
 
 def stable_shard_hash(session_id: str) -> int:
@@ -186,28 +187,35 @@ class PredictionService:
     # -- snapshot / restore ---------------------------------------------------
 
     async def snapshot_payload(self) -> Dict[str, object]:
-        """Quiesced, picklable state of every session.
+        """Quiesced state of every session, as opaque per-session blobs
+        (:mod:`repro.serve.snapshot` describes the payload).
 
-        Each shard serialises its sessions from inside its own loop
+        Each shard encodes its sessions from inside its own loop
         iteration (the control is a barrier), so the payload reflects a
         per-session consistent point: all requests admitted before the
-        snapshot call are included, none after.
+        snapshot call are included, none after.  The blobs are bytes,
+        so the payload never changes after it was taken and never
+        shares a predictor with this service.
         """
-        sessions: Dict[str, object] = {}
+        sessions: Dict[str, bytes] = {}
         for shard_sessions in await asyncio.gather(
                 *(shard.control("snapshot") for shard in self.shards)):
             sessions.update(shard_sessions)
-        return {"schema": 1, "sessions": sessions}
+        return {"schema": SNAPSHOT_SCHEMA, "sessions": sessions}
 
     async def restore_payload(self, payload: Dict[str, object]) -> int:
         """Load sessions from :meth:`snapshot_payload` output, routing
         each to its (possibly different) home shard.  Returns the
         number of sessions restored."""
+        if payload.get("schema") != SNAPSHOT_SCHEMA:
+            raise ValueError(
+                f"snapshot schema {payload.get('schema')!r} is not "
+                f"{SNAPSHOT_SCHEMA}; this service reads no other")
         sessions = payload["sessions"]
-        by_shard: Dict[int, Dict[str, object]] = {}
-        for session_id, state in sessions.items():
+        by_shard: Dict[int, Dict[str, bytes]] = {}
+        for session_id, blob in sessions.items():
             index = stable_shard_hash(session_id) % len(self.shards)
-            by_shard.setdefault(index, {})[session_id] = state
+            by_shard.setdefault(index, {})[session_id] = blob
         await asyncio.gather(
             *(self.shards[index].control("restore", chunk)
               for index, chunk in by_shard.items()))

@@ -40,7 +40,8 @@ class Session:
         self.hottrace = None
 
     def state_dict(self) -> Dict[str, object]:
-        """The picklable snapshot payload of this session."""
+        """What this session's snapshot blob holds: the owning shard
+        pickles it at its snapshot barrier (:mod:`repro.serve.snapshot`)."""
         return {"spec": self.spec.to_json_dict(),
                 "predictor": self.predictor,
                 "served": self.served}

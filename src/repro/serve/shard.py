@@ -21,6 +21,7 @@ buffers unboundedly.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -490,13 +491,17 @@ class Shard:
                 entry.future.set_result(
                     session.served if session is not None else None)
             elif entry.op == "snapshot":
+                # Encoded here, at the barrier, exactly once: the blob
+                # is this instant's state, shares nothing with the live
+                # predictor, and travels opaque until a restore.
                 entry.future.set_result({
-                    session_id: session.state_dict()
+                    session_id: pickle.dumps(session.state_dict(),
+                                             protocol=pickle.HIGHEST_PROTOCOL)
                     for session_id, session in self.sessions.items()})
             elif entry.op == "restore":
-                for session_id, state in entry.payload.items():
+                for session_id, blob in entry.payload.items():
                     self.sessions[session_id] = Session.from_state_dict(
-                        session_id, state)
+                        session_id, pickle.loads(blob))
                 entry.future.set_result(None)
             else:
                 raise ValueError(f"unknown control op {entry.op!r}")

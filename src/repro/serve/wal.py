@@ -8,7 +8,8 @@ durability story: a worker's in-memory predictor state is always
 rebuilt by restoring the snapshot and replaying the suffix, and a
 restarted router recovers every worker the same way.  "Accepted"
 therefore means *recorded*: an accepted request can be re-answered
-after any crash, and zero accepted requests are ever lost.
+after a process crash, and no accepted request is lost to one (the
+durability scope below says what a host crash may lose).
 
 The log is bounded by the snapshot protocol, not by dropping records:
 when ``records`` grows past the fleet's ``wal_limit`` the router
@@ -30,23 +31,40 @@ tuples::
 A torn final frame (a crash mid-append) is detected by the length
 prefix and discarded on open — recovery never feeds a half-written
 record to a worker.
+
+Durability scope: appends are flushed to the operating system but
+never fsynced.  An accepted record therefore survives the death of
+the router or worker *process* (the kernel still holds the bytes), but
+not a host crash or power loss, which may lose a recent suffix.
+
+Truncation copies bytes.  The log keeps each batch's ``(byte offset,
+records before it)`` — taken from its own running count at append and
+from the frames it reads on open — so :meth:`WriteAheadLog.truncate`
+finds the batch holding the cut, copies the file from there, and
+re-pickles only that one batch, only when the cut falls inside it.  A
+snapshot mark is always a batch boundary, so in practice a truncate
+decodes nothing.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import shutil
+from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
-from repro.serve.protocol import FRAME_HEADER, MAX_FRAME_BYTES
+from repro.serve.protocol import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame
 
 Record = Tuple
 
 
-def _read_batches(path: str) -> Tuple[List[List[Record]], int]:
-    """All complete record batches in ``path`` plus the byte offset of
-    the first incomplete/corrupt frame (== file size when clean)."""
-    batches: List[List[Record]] = []
+def _read_batches(path: str
+                  ) -> Tuple[List[Tuple[int, List[Record]]], int]:
+    """All complete record batches in ``path`` as ``(byte offset,
+    records)`` pairs, plus the byte offset of the first
+    incomplete/corrupt frame (== file size when clean)."""
+    batches: List[Tuple[int, List[Record]]] = []
     clean_end = 0
     if not os.path.exists(path):
         return batches, clean_end
@@ -65,7 +83,7 @@ def _read_batches(path: str) -> Tuple[List[List[Record]], int]:
                 batch = pickle.loads(body)
             except Exception:
                 break
-            batches.append(list(batch))
+            batches.append((clean_end, list(batch)))
             clean_end = handle.tell()
     return batches, clean_end
 
@@ -81,22 +99,29 @@ class WriteAheadLog:
             # next append could concatenate garbage with a new frame.
             with open(path, "rb+") as handle:
                 handle.truncate(clean_end)
+        #: ``(byte offset, records before)`` of every batch in the file.
+        self._batches: List[Tuple[int, int]] = []
         #: Records currently in the log (survivors of truncation).
-        self.records = sum(len(batch) for batch in batches)
+        self.records = 0
+        for offset, batch in batches:
+            self._batches.append((offset, self.records))
+            self.records += len(batch)
+        self._size = clean_end
         self._handle = open(path, "ab")
 
     # -- writing ------------------------------------------------------------
 
     def append(self, records: Sequence[Record]) -> None:
-        """Durably append one batch of records (write-ahead: callers
-        must append before forwarding)."""
+        """Append one batch of records and flush it to the operating
+        system (write-ahead: callers must append before forwarding).
+        Survives process death, not a host crash (module docstring)."""
         if not records:
             return
-        body = pickle.dumps(list(records),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        self._handle.write(FRAME_HEADER.pack(len(body)))
-        self._handle.write(body)
+        frame = encode_frame(list(records))
+        self._handle.write(frame)
         self._handle.flush()
+        self._batches.append((self._size, self.records))
+        self._size += len(frame)
         self.records += len(records)
 
     def mark(self) -> int:
@@ -111,18 +136,39 @@ class WriteAheadLog:
         if upto <= 0:
             return
         self._handle.close()
-        batches, _ = _read_batches(self.path)
-        flat = [record for batch in batches for record in batch]
-        survivors = flat[upto:]
+        head = b""
+        copy_from = self._size  # a cut past the end keeps nothing
+        kept: List[Tuple[int, int]] = []
+        if upto < self.records:
+            # The last batch starting at or before the cut holds it.
+            index = bisect_right([before for _, before in self._batches],
+                                 upto) - 1
+            offset, before = self._batches[index]
+            copy_from = offset
+            kept = self._batches[index:]
+            if before < upto:
+                # The cut falls inside this batch: re-frame its
+                # survivors, copy everything after it.
+                copy_from = (self._batches[index + 1][0]
+                             if index + 1 < len(self._batches)
+                             else self._size)
+                with open(self.path, "rb") as handle:
+                    handle.seek(offset + FRAME_HEADER.size)
+                    batch = pickle.loads(
+                        handle.read(copy_from - offset - FRAME_HEADER.size))
+                head = encode_frame(batch[upto - before:])
+                kept = [(copy_from - len(head), upto)] + kept[1:]
         tmp = self.path + ".tmp"
-        with open(tmp, "wb") as handle:
-            if survivors:
-                body = pickle.dumps(survivors,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-                handle.write(FRAME_HEADER.pack(len(body)))
-                handle.write(body)
+        with open(self.path, "rb") as src, open(tmp, "wb") as dst:
+            dst.write(head)
+            src.seek(copy_from)
+            shutil.copyfileobj(src, dst)
         os.replace(tmp, self.path)
-        self.records = len(survivors)
+        shift = copy_from - len(head)
+        self._batches = [(offset - shift, before - upto)
+                         for offset, before in kept]
+        self._size -= shift
+        self.records = max(0, self.records - upto)
         self._handle = open(self.path, "ab")
 
     # -- reading ------------------------------------------------------------
@@ -131,7 +177,7 @@ class WriteAheadLog:
         """Every surviving record, in append order."""
         self._handle.flush()
         batches, _ = _read_batches(self.path)
-        return [record for batch in batches for record in batch]
+        return [record for _, batch in batches for record in batch]
 
     def close(self) -> None:
         self._handle.close()

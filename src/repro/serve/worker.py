@@ -16,10 +16,14 @@ router → worker        worker → router
 ``("open", sid, spec)`` ``("ctl", None)`` / ``("ctl_err", message)``
 ``("close", sid)``     ``("ctl", served_count)``
 ``("evict", sids)``    ``("ctl", n_closed)`` (rebalance handoff)
-``("restore", chunk)`` ``("ctl", n_sessions)``
-``("snapshot", tok)``  ``("snap_part", tok, sessions)``… then
-                       ``("snap_done", tok, schema)`` — state ships in
-                       bounded chunks; one frame per ~1k sessions
+``("restore", chunk)`` ``("ctl", n_sessions)`` — ``chunk`` is a
+                       snapshot payload of per-session blobs, decoded
+                       here by the owning shard
+``("snapshot", tok)``  ``("snap_part", tok, blobs)``… then
+                       ``("snap_done", tok, schema)`` — ``blobs`` maps
+                       session id to the bytes its shard encoded at the
+                       barrier (:mod:`repro.serve.snapshot`), shipped
+                       as is in bounded chunks of ~1k sessions
 ``("ping",)``          ``("pong",)``
 ``("stats",)``         ``("ctl", totals)`` — live service totals (the
                        hottrace / degrade counters ``fleet.stats`` and
@@ -184,8 +188,7 @@ async def _worker(host: str, port: int, token: str, name: str) -> int:
                 for i in range(0, len(items), SNAP_CHUNK_SESSIONS):
                     chunk = dict(items[i:i + SNAP_CHUNK_SESSIONS])
                     await gate.send(("snap_part", token, chunk))
-                await gate.send(("snap_done", token,
-                                 payload.get("schema", 1)))
+                await gate.send(("snap_done", token, payload["schema"]))
             elif kind == "ping":
                 await gate.send(("pong",))
             elif kind == "stats":

@@ -73,6 +73,18 @@ class TestExtraction:
         assert metrics["observability.observed_uops_per_sec"] == 70000.0
         assert not any(k.endswith("overhead_frac") for k in metrics)
 
+    def test_fleet_snapshot_layers_gate_lower_is_better(self):
+        report = dict(THROUGHPUT_REPORT, fleet_snapshot={
+            "sessions": 128, "frame_bytes": 250000, "encode_us": 12000.0,
+            "persist_us": 500.0, "truncate_us": 250.0})
+        metrics = extract_metrics(report)
+        assert {k: v for k, v in metrics.items()
+                if k.startswith("fleet_snapshot.")} == {
+            "fleet_snapshot.encode_us": 12000.0,
+            "fleet_snapshot.persist_us": 500.0,
+            "fleet_snapshot.truncate_us": 250.0}
+        assert not metric_higher_is_better("fleet_snapshot.persist_us")
+
     def test_unknown_report_raises(self):
         with pytest.raises(ValueError):
             extract_metrics({"something": "else"})

@@ -1,7 +1,10 @@
 """Tests for saturating counters and sticky bits."""
 
+import pickle
+
 import pytest
 
+from repro.api import build_predictor, spec_for
 from repro.predictors.counters import SaturatingCounter, StickyBit
 
 
@@ -101,3 +104,39 @@ class TestStickyBit:
         assert s.confidence == 0.0
         s.train(True)
         assert s.confidence == 1.0
+
+
+class TestCompactPickle:
+    """Counters pickle as their constructor arguments (snapshot size)."""
+
+    @pytest.mark.parametrize("bits,initial,threshold", [
+        (1, 1, None), (2, 0, None), (3, 5, 2), (4, 9, 15), (3, 0, 7)])
+    def test_counter_round_trip_keeps_behaviour(self, bits, initial,
+                                                threshold):
+        original = SaturatingCounter(bits, initial=initial,
+                                     threshold=threshold)
+        copy = pickle.loads(pickle.dumps(original))
+        assert (copy.bits, copy.value) == (bits, initial)
+        for outcome in (True, True, False, True, False, False, False,
+                        True, True, True, True, True):
+            assert copy.prediction == original.prediction
+            assert copy.confidence == original.confidence
+            assert copy.is_saturated == original.is_saturated
+            original.train(outcome)
+            copy.train(outcome)
+            assert copy.value == original.value
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_sticky_bit_round_trip_keeps_behaviour(self, value):
+        original = StickyBit(value)
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy.value == value
+        assert copy.confidence == original.confidence
+        copy.train(True)
+        assert copy.prediction
+
+    def test_fresh_gshare_hmp_pickles_small(self):
+        # 128 two-bit cells; the slotted default pickled to 4,117 bytes.
+        predictor = build_predictor(spec_for("hmp.gshare", history=7))
+        assert len(pickle.dumps(predictor,
+                                protocol=pickle.HIGHEST_PROTOCOL)) <= 2200

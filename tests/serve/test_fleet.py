@@ -7,6 +7,8 @@ workloads).  The heavier end-to-end suites live next door:
 """
 
 import asyncio
+import json
+import pickle
 import random
 
 import pytest
@@ -14,9 +16,14 @@ import pytest
 from repro.api import ExecutionPolicy, build_predictor, spec_for
 from repro.serve import PredictRequest, ServeConfig
 from repro.serve.batch import apply_step, replay_digest
-from repro.serve.fleet import ServeFleet
+from repro.serve.fleet import FleetError, ServeFleet
 from repro.serve.protocol import ERR_BAD_REQUEST, ERR_CLOSED
-from repro.serve.snapshot import load_snapshot
+from repro.serve.snapshot import (
+    SNAPSHOT_SCHEMA,
+    load_snapshot,
+    save_snapshot,
+    snapshot_path,
+)
 
 SPEC = spec_for("binary.gshare", history=7)
 CONFIG = ServeConfig(n_shards=2, max_batch=64, max_delay_us=200,
@@ -236,4 +243,28 @@ def test_wal_is_bounded_by_snapshot_truncation(tmp_path):
     assert wal_records < n_steps, "nothing was ever truncated"
     assert wal_records <= 256, f"WAL unbounded: {wal_records} records"
     snap = load_snapshot(str(tmp_path), "snap-w0")
-    assert snap is not None and "hot" in snap["sessions"]
+    assert snap is not None and snap["schema"] == SNAPSHOT_SCHEMA
+    # Stored as the opaque blob the worker's shard encoded.
+    blob = snap["sessions"]["hot"]
+    assert isinstance(blob, bytes)
+    state = pickle.loads(blob)
+    assert state["served"] <= n_steps and state["spec"] == SPEC.to_json_dict()
+
+
+def test_start_refuses_a_schema_1_snapshot(tmp_path):
+    """A schema-1 snapshot (live predictor objects) is not read: start()
+    names the file instead of recovering without it, which would drop
+    the sessions whose WAL prefix it already replaced."""
+    (tmp_path / "fleet.json").write_text(
+        json.dumps({"schema": 1, "workers": ["w0"]}))
+    save_snapshot(str(tmp_path), "snap-w0", {
+        "schema": 1,
+        "sessions": {"old": {"spec": SPEC.to_json_dict(),
+                             "predictor": build_predictor(SPEC),
+                             "served": 3}}})
+    fleet = ServeFleet(n_workers=1, config=CONFIG, state_dir=str(tmp_path))
+    with pytest.raises(FleetError) as info:
+        asyncio.run(fleet.start())
+    assert snapshot_path(str(tmp_path), "snap-w0") in str(info.value)
+    assert "schema 1" in str(info.value)
+    assert not fleet.workers  # refused before anything was spawned

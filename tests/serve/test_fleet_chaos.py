@@ -88,7 +88,8 @@ async def _fleet_session_states(fleet):
     for name in fleet.worker_names:
         snap = load_snapshot(fleet.state_dir, f"snap-{name}")
         assert snap is not None, f"no snapshot for {name}"
-        for sid, state in snap["sessions"].items():
+        for sid, blob in snap["sessions"].items():
+            state = pickle.loads(blob)
             merged[sid] = (_canonical_bytes(state["predictor"]),
                            int(state["served"]))
     return merged

@@ -1,6 +1,7 @@
 """PredictionService: sessions, sharding, batching, drain, controls."""
 
 import asyncio
+import pickle
 
 import pytest
 
@@ -202,6 +203,37 @@ def test_snapshot_restore_across_shard_counts():
             assert r.ok and r.result == 0  # trained state survived
             # Served count survived too: 16 steps + the predict above.
             assert await other.close_session("a") == 17
+    run(main())
+
+
+def test_snapshot_is_a_copy_not_the_live_predictors():
+    """The payload is state at the barrier: restoring it elsewhere must
+    not share predictors with the source, and stepping the source
+    afterwards moves neither the payload nor the restored service."""
+    async def main():
+        spec = spec_for("hmp.local", size=64, history=2)
+        pcs = [0x40 + 4 * i for i in range(8)]
+
+        async def answers(service):
+            return [(await service.request(PredictRequest(
+                "a", op="predict", pc=pc))).result for pc in pcs]
+
+        async with PredictionService(ServeConfig(n_shards=2)) as source, \
+                PredictionService(ServeConfig(n_shards=3)) as copy:
+            await source.open_session("a", spec)
+            for i in range(64):
+                await source.request(PredictRequest(
+                    "a", op="step", pc=pcs[i % 8], outcome=0, seq=i))
+            payload = await source.snapshot_payload()
+            frozen = pickle.dumps(payload)
+            await copy.restore_payload(payload)
+            restored = await answers(copy)
+            for i in range(200):
+                await source.request(PredictRequest(
+                    "a", op="step", pc=pcs[i % 8], outcome=1, seq=64 + i))
+            assert await answers(source) != restored  # the source moved
+            assert await answers(copy) == restored
+            assert pickle.dumps(payload) == frozen
     run(main())
 
 

@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.api import spec_for
 from repro.serve import (
     PredictRequest,
@@ -11,6 +13,7 @@ from repro.serve import (
     save_snapshot,
     snapshot_key,
 )
+from repro.serve.snapshot import SNAPSHOT_SCHEMA
 
 
 def test_snapshot_key_binds_label():
@@ -42,7 +45,11 @@ def test_round_trip_through_cache(tmp_path):
 
     loaded = load_snapshot(str(tmp_path), "test")
     assert loaded is not None
+    assert loaded["schema"] == SNAPSHOT_SCHEMA
     assert set(loaded["sessions"]) == {"s"}
+    # Sessions are stored as the blob the shard encoded, unread.
+    assert loaded["sessions"]["s"] == payload["sessions"]["s"]
+    assert isinstance(loaded["sessions"]["s"], bytes)
 
     async def restore():
         async with PredictionService(ServeConfig(n_shards=1)) as service:
@@ -55,8 +62,17 @@ def test_round_trip_through_cache(tmp_path):
     assert r.ok and r.result == 0  # trained miss state survived disk
 
 
+def test_restore_refuses_another_schema():
+    async def main():
+        async with PredictionService(ServeConfig(n_shards=1)) as service:
+            with pytest.raises(ValueError, match="schema 1"):
+                await service.restore_payload({"schema": 1, "sessions": {}})
+
+    asyncio.run(main())
+
+
 def test_corrupt_snapshot_degrades_to_none(tmp_path):
-    payload = {"schema": 1, "sessions": {}}
+    payload = {"schema": SNAPSHOT_SCHEMA, "sessions": {}}
     save_snapshot(str(tmp_path), "x", payload)
     # Scribble over every cache file: loads must degrade, not explode.
     count = 0
