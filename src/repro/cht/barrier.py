@@ -14,10 +14,8 @@ load PC and delays only the predicted-colliding loads.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.common import bits
-from repro.predictors.counters import SaturatingCounter
+from repro.predictors.counters import CounterTable
 
 
 class StoreBarrierCache:
@@ -27,24 +25,21 @@ class StoreBarrierCache:
         bits.ilog2(n_entries)
         self.n_entries = n_entries
         self.counter_bits = counter_bits
-        self._table: List[SaturatingCounter] = [
-            SaturatingCounter(counter_bits) for _ in range(n_entries)
-        ]
+        self._table = CounterTable(n_entries, counter_bits)
 
     def _index(self, pc: int) -> int:
         return bits.pc_index(pc, self.n_entries)
 
     def is_barrier(self, store_pc: int) -> bool:
         """Queried at store fetch: should younger loads be fenced?"""
-        return self._table[self._index(store_pc)].prediction
+        return self._table.prediction(self._index(store_pc))
 
     def train(self, store_pc: int, caused_violation: bool) -> None:
         """Increment on violation, decrement on clean completion."""
-        self._table[self._index(store_pc)].train(caused_violation)
+        self._table.train(self._index(store_pc), caused_violation)
 
     def clear(self) -> None:
-        for counter in self._table:
-            counter.reset()
+        self._table.reset()
 
     @property
     def storage_bits(self) -> int:

@@ -16,7 +16,7 @@ from repro.cht.base import (
     NOT_COLLIDING,
 )
 from repro.fastpath.backend import resolve_backend
-from repro.predictors.counters import SaturatingCounter
+from repro.predictors.counters import CounterTable
 
 
 class TaglessCHT(CollisionPredictor):
@@ -34,9 +34,7 @@ class TaglessCHT(CollisionPredictor):
         self.n_entries = n_entries
         self.counter_bits = counter_bits
         self.track_distance = track_distance
-        self._counters: List[SaturatingCounter] = [
-            SaturatingCounter(counter_bits) for _ in range(n_entries)
-        ]
+        self._counters = CounterTable(n_entries, counter_bits)
         self._distances: List[Optional[int]] = [None] * n_entries
 
     def _index(self, pc: int) -> int:
@@ -44,7 +42,7 @@ class TaglessCHT(CollisionPredictor):
 
     def lookup(self, pc: int) -> CollisionPrediction:
         index = self._index(pc)
-        if not self._counters[index].prediction:
+        if not self._counters.prediction(index):
             return NOT_COLLIDING
         distance = self._distances[index] if self.track_distance else None
         return CollisionPrediction(colliding=True, distance=distance)
@@ -52,17 +50,16 @@ class TaglessCHT(CollisionPredictor):
     def train(self, pc: int, collided: bool,
               distance: Optional[int] = None) -> None:
         index = self._index(pc)
-        self._counters[index].train(collided)
+        self._counters.train(index, collided)
         if collided and distance is not None:
             current = self._distances[index]
             if current is None or distance < current:
                 self._distances[index] = distance
-        elif not self._counters[index].prediction:
+        elif not self._counters.prediction(index):
             self._distances[index] = None
 
     def clear(self) -> None:
-        for counter in self._counters:
-            counter.reset()
+        self._counters.reset()
         self._distances = [None] * self.n_entries
 
     @property

@@ -2,10 +2,12 @@
 
 The Figure 9 harness replays a pre-recorded (pc, collided, distance)
 ground-truth stream through each CHT configuration.  For the tagless
-organisation that is a pure counter-table walk over the cells a chunk
-touches — vectorized exactly by :func:`repro.fastpath.scan.clamped_walk`
-— plus the distance sidecar, whose min-update/reset rule depends on
-per-cell order and gets a segmented reduce over the same cells.
+organisation that is a walk over the flat counter table plus the
+distance sidecar: the indices are precomputed with numpy, then one
+loop over the chunk's events reads each cell's prediction and applies
+:meth:`TaglessCHT.train`'s rule verbatim — counter and sidecar
+together, in place.  Cells the chunk does not index are never read or
+written.
 
 Differential tests: ``tests/fastpath/test_cht_diff.py``.
 """
@@ -18,8 +20,6 @@ import numpy as np
 
 from repro.cht.tagless import TaglessCHT
 from repro.fastpath.indices import pc_index_arr
-from repro.fastpath.predictors import gather, scatter
-from repro.fastpath.scan import clamped_walk
 
 
 def event_arrays(events) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -64,50 +64,27 @@ def tagless_replay(cht: TaglessCHT, pcs: np.ndarray, collided: np.ndarray,
 
 def _tagless_replay_once(cht: TaglessCHT, pcs, collided,
                          distances) -> np.ndarray:
-    indices = pc_index_arr(pcs, cht.n_entries)
-    max_value = cht._counters[0]._max
-    threshold = cht._counters[0]._threshold
-    state = gather(cht._counters, indices)
-    order = state.order
-    before, after, final = clamped_walk(state.ids, np.where(collided, 1, -1),
-                                        state.initial, max_value, order=order)
-    scatter(cht._counters, state.touched, final.tolist())
-
-    # Distance sidecar: min-update on supplied distances, reset to None
-    # whenever a train leaves the counter predicting "not colliding".
-    # Only the final per-cell value is observable after the batch, and
-    # ops after a cell's last reset fully determine it: a segmented
-    # last-reset/min reduce replaces the per-event loop.  Filtering the
-    # walk's cell-sorted order keeps events grouped by cell and
-    # chronological within each cell without a second argsort.
-    has_distance = collided & (distances != -1)
-    post_predicts = after >= threshold
-    affected = has_distance | ~post_predicts
-    if bool(np.any(affected)):
-        _BIG = np.iinfo(np.int64).max
-        sorted_affected = order[affected[order]]
-        cells = indices[sorted_affected]
-        is_min = has_distance[sorted_affected]
-        dist = distances[sorted_affected]
-        pos = np.arange(len(cells), dtype=np.int64)
-        starts_mask = np.empty(len(cells), dtype=bool)
-        starts_mask[0] = True
-        starts_mask[1:] = cells[1:] != cells[:-1]
-        starts = np.nonzero(starts_mask)[0]
-        lengths = np.diff(np.append(starts, len(cells)))
-        # Sorted position of each cell's last reset (-1 when none).
-        last_reset = np.maximum.reduceat(np.where(is_min, -1, pos), starts)
-        survives = pos > np.repeat(last_reset, lengths)
-        group_min = np.minimum.reduceat(
-            np.where(is_min & survives, dist, _BIG), starts)
-        unique_cells = cells[starts].tolist()
-        sidecar = cht._distances
-        initial_d = np.fromiter(
-            (_BIG if sidecar[c] is None else sidecar[c]
-             for c in unique_cells),
-            dtype=np.int64, count=len(unique_cells))
-        final_d = np.where(last_reset >= 0, group_min,
-                           np.minimum(initial_d, group_min))
-        for cell_id, value in zip(unique_cells, final_d.tolist()):
-            sidecar[cell_id] = None if value == _BIG else value
-    return before >= threshold
+    cells = cht._counters.cells
+    top = cht._counters.max
+    threshold = cht._counters.threshold
+    sidecar = cht._distances
+    predicted = bytearray()
+    read = predicted.append
+    for i, hit, distance in zip(pc_index_arr(pcs, cht.n_entries).tolist(),
+                                collided.tolist(), distances.tolist()):
+        value = cells[i]
+        read(value >= threshold)
+        if hit:
+            if value < top:
+                value += 1
+                cells[i] = value
+        elif value:
+            value -= 1
+            cells[i] = value
+        if hit and distance != -1:
+            current = sidecar[i]
+            if current is None or distance < current:
+                sidecar[i] = distance
+        elif value < threshold:
+            sidecar[i] = None
+    return np.frombuffer(predicted, dtype=bool)

@@ -7,24 +7,24 @@ history registers in the exact state the scalar loop would have left
 them in (so scalar use, or the next batch, can continue seamlessly).
 
 Exactness rests on the replay structure: training depends only on the
-pre-recorded outcome stream, never on the predictions, so every table
-index and history register is computable up front and the counter
-evolution reduces to the scans in :mod:`repro.fastpath.scan`.  The one
-exception is gskew's *partial update* (whether a bank trains depends on
-the other banks' current counters), which gets a scalar fixup loop over
-precomputed indices instead of a scan.
-
-State crosses the Python/numpy boundary only for the cells a chunk
-indexes: :func:`gather` reads them into compact arrays the scans walk,
-and :func:`scatter` writes exactly those cells back.  A chunk's cost
-is therefore set by its length, not by the predictor's table sizes.
+pre-recorded outcome stream, never on the predictions.  So the numpy
+part of a kernel is index precompute — :mod:`repro.fastpath.indices`
+and, for the shared global history, :func:`~repro.fastpath.scan.
+global_history_walk` — and the state evolution is one plain loop per
+leaf predictor over the chunk's events, reading and writing the
+predictor's flat :class:`~repro.predictors.counters.CounterTable`
+bytes in place (:func:`~repro.fastpath.scan.counter_walk`,
+:func:`~repro.fastpath.scan.register_walk`).  gskew's *partial update*
+couples its three banks, so its loop walks all three at once.  A
+chunk's cost is set by its length, not by the predictor's table sizes:
+cells a chunk does not index are never read or written.
 
 Differential tests: ``tests/fastpath/test_predictor_diff.py``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.fastpath.indices import (
     pc_index_arr,
     skew_indices_arr,
 )
-from repro.fastpath.scan import clamped_walk, global_history_walk, history_walk
+from repro.fastpath.scan import counter_walk, global_history_walk, register_walk
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.chooser import MajorityChooser, WeightedChooser
 from repro.predictors.gshare import GSharePredictor
@@ -56,58 +56,9 @@ def supports(predictor) -> bool:
     return kind in _LEAF_KERNELS
 
 
-class Cells(NamedTuple):
-    """The cells one chunk indexes, as :func:`gather` hands them out."""
-
-    #: Distinct table indices, ascending.
-    touched: list
-    #: Per event, the position of its cell in ``touched``.
-    ids: np.ndarray
-    #: Stable argsort of the events by cell (valid for ``ids`` too).
-    order: np.ndarray
-    #: The touched cells' values at chunk entry.
-    initial: list
-
-
-def gather(table, cell_ids: np.ndarray) -> Cells:
-    """The state a chunk can reach: only the cells its events index.
-
-    ``table`` is a list of counters (read through ``.value``) or of
-    plain int registers.  The scans run on the compact ``ids`` and
-    :func:`scatter` writes the final values back, so a chunk costs
-    what it touches, not the table size.
-    """
-    # Sort keys in the narrowest type that holds a table index: numpy's
-    # stable sort is a radix sort for keys of 16 bits or fewer.
-    order = np.argsort(cell_ids.astype(np.min_scalar_type(len(table) - 1)),
-                       kind="stable")
-    ordered = cell_ids[order]
-    first = np.empty(len(ordered), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    touched = ordered[first].tolist()
-    ids = np.empty(len(ordered), dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
-    if type(table[0]) is int:
-        initial = [table[i] for i in touched]
-    else:
-        initial = [table[i].value for i in touched]
-    return Cells(touched, ids, order, initial)
-
-
-def scatter(table, touched: list, values: list) -> None:
-    """Write ``values`` (Python ints) back to the ``touched`` cells."""
-    if type(table[0]) is int:
-        for i, value in zip(touched, values):
-            table[i] = value
-    else:
-        for i, value in zip(touched, values):
-            table[i].value = value
-
-
 def _counter_confidence(before: np.ndarray, threshold: int,
                         max_value: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``SaturatingCounter.prediction``/``confidence``.
+    """Vectorized ``CounterTable.prediction``/``confidence``.
 
     Integer-by-integer float64 division matches the scalar Python
     division bit for bit.
@@ -124,16 +75,10 @@ def _counter_confidence(before: np.ndarray, threshold: int,
 
 def _counter_replay(table, indices: np.ndarray, outcomes: np.ndarray,
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Train a homogeneous counter table along ``indices``; return the
-    per-event (prediction, confidence) read just before each train."""
-    max_value = table[0]._max
-    threshold = table[0]._threshold
-    cells = gather(table, indices)
-    before, _, final = clamped_walk(cells.ids, np.where(outcomes, 1, -1),
-                                    cells.initial, max_value,
-                                    order=cells.order)
-    scatter(table, cells.touched, final.tolist())
-    return _counter_confidence(before, threshold, max_value)
+    """Train ``table`` along ``indices``; return the per-event
+    (prediction, confidence) read just before each train."""
+    before = counter_walk(table, indices, outcomes)
+    return _counter_confidence(before, table.threshold, table.max)
 
 
 def _bimodal_replay(pred: BimodalPredictor, pcs: np.ndarray,
@@ -145,13 +90,12 @@ def _bimodal_replay(pred: BimodalPredictor, pcs: np.ndarray,
 def _local_replay(pred: LocalPredictor, pcs: np.ndarray,
                   outcomes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     hist_idx = pc_index_arr(pcs, pred.n_entries)
-    cells = gather(pred._histories, hist_idx)
-    hist_before, hist_final = history_walk(cells.ids, outcomes,
-                                           cells.initial, pred.history_bits,
-                                           order=cells.order)
-    scatter(pred._histories, cells.touched, hist_final.tolist())
-    pattern_idx = fold_arr(hist_before, bits.ilog2(pred.pattern_entries))
-    return _counter_replay(pred._pattern, pattern_idx, outcomes)
+    hist_before = np.array(register_walk(pred._histories, hist_idx, outcomes,
+                                         pred.history_bits), dtype=np.int64)
+    # A history narrower than the pattern index folds to itself.
+    if pred.pattern_entries < 1 << pred.history_bits:
+        hist_before = fold_arr(hist_before, bits.ilog2(pred.pattern_entries))
+    return _counter_replay(pred._pattern, hist_before, outcomes)
 
 
 def _gshare_replay(pred: GSharePredictor, pcs: np.ndarray,
@@ -165,35 +109,28 @@ def _gshare_replay(pred: GSharePredictor, pcs: np.ndarray,
 
 def _gskew_replay(pred: GSkewPredictor, pcs: np.ndarray,
                   outcomes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized index/history precompute + scalar partial-update fixup.
+    """Vectorized index/history precompute + one partial-update loop.
 
     The e-gskew partial update couples the three banks (a dissenting
     bank is left alone only when the *majority* was correct), so the
-    counter evolution is not a per-cell scan; the fixup loop runs over
-    the banks' touched values as plain Python lists, with every index
-    precomputed, which is still several times cheaper than the full
-    scalar object path.
+    loop walks the three banks' bytes together, every index
+    precomputed.
     """
     hist_before, hist_final = global_history_walk(
         outcomes, pred._history, pred.history_bits)
     pred._history = hist_final
-    gathered = [
-        gather(bank, indices) for bank, indices in zip(
-            pred._banks,
-            skew_indices_arr(pcs, hist_before, pred.bank_entries))
-    ]
-    c0, c1, c2 = (cells.ids.tolist() for cells in gathered)
-    # The touched values, trained in place and then scattered back.
-    values = [cells.initial for cells in gathered]
-    b0, b1, b2 = values
-    max_value = pred._banks[0][0]._max
-    threshold = pred._banks[0][0]._threshold
-    ayes = []
+    c0, c1, c2 = (indices.tolist() for indices in
+                  skew_indices_arr(pcs, hist_before, pred.bank_entries))
+    b0, b1, b2 = (bank.cells for bank in pred._banks)
+    max_value = pred._banks[0].max
+    threshold = pred._banks[0].threshold
+    ayes = bytearray()
+    vote = ayes.append
     for i, k, m, outcome in zip(c0, c1, c2, outcomes.tolist()):
         x, y, z = b0[i], b1[k], b2[m]
         vx, vy, vz = x >= threshold, y >= threshold, z >= threshold
         votes = vx + vy + vz
-        ayes.append(votes)
+        vote(votes)
         # A bank trains unless the majority was right and it dissented.
         retrain = (votes >= 2) != outcome
         if outcome:
@@ -210,9 +147,7 @@ def _gskew_replay(pred: GSkewPredictor, pcs: np.ndarray,
                 b1[k] = y - 1
             if z > 0 and (retrain or not vz):
                 b2[m] = z - 1
-    for bank, cells, final in zip(pred._banks, gathered, values):
-        scatter(bank, cells.touched, final)
-    ayes = np.array(ayes, dtype=np.int64)
+    ayes = np.frombuffer(ayes, dtype=np.uint8)
     return ayes >= 2, np.where((ayes == 0) | (ayes == 3), 1.0, 0.5)
 
 
@@ -282,10 +217,8 @@ def replay(predictor, pcs, outcomes,
 
     Events are processed in fixed-size chunks; all cross-chunk
     dependencies (counter tables, history registers) flow through the
-    predictor object's own state.  At chunk entry every kernel reads
-    only the cells the chunk indexes (:func:`gather`), and at chunk exit
-    it writes back exactly those cells (:func:`scatter`); cells the
-    chunk never indexes are neither read nor written.
+    predictor object's own state, which each kernel walks in place;
+    cells the chunk never indexes are neither read nor written.
     """
     pcs = np.asarray(pcs, dtype=np.int64)
     outcomes = np.asarray(outcomes, dtype=bool)

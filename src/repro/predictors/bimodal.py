@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.common import bits
 from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
-from repro.predictors.counters import SaturatingCounter
+from repro.predictors.counters import CounterTable
 
 
 class BimodalPredictor(BinaryPredictor):
@@ -26,23 +24,21 @@ class BimodalPredictor(BinaryPredictor):
         self.n_entries = n_entries
         self.counter_bits = counter_bits
         self.backend = resolve_backend(backend)
-        self._table: List[SaturatingCounter] = [
-            SaturatingCounter(counter_bits) for _ in range(n_entries)
-        ]
+        self._table = CounterTable(n_entries, counter_bits)
 
     def _index(self, pc: int) -> int:
         return bits.pc_index(pc, self.n_entries)
 
     def predict(self, pc: int) -> Prediction:
-        cell = self._table[self._index(pc)]
-        return Prediction(outcome=cell.prediction, confidence=cell.confidence)
+        table, i = self._table, self._index(pc)
+        return Prediction(outcome=table.prediction(i),
+                          confidence=table.confidence(i))
 
     def update(self, pc: int, outcome: bool) -> None:
-        self._table[self._index(pc)].train(outcome)
+        self._table.train(self._index(pc), outcome)
 
     def reset(self) -> None:
-        for cell in self._table:
-            cell.reset()
+        self._table.reset()
 
     @property
     def storage_bits(self) -> int:

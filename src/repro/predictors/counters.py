@@ -1,12 +1,94 @@
-"""Per-entry state machines: saturating counters and sticky bits.
+"""Counter state: flat counter tables, lone saturating counters, sticky bits.
 
 Section 2.1 notes that a 1-bit saturating counter or a sticky bit is
 "enough" for collision prediction; larger counters (the classic 2-bit
-bimodal cell) add hysteresis.  These small classes are the table cells
-of every predictor in the package.
+bimodal cell) add hysteresis.
+
+Every indexed predictor table in the package — bimodal, gshare, the
+local pattern table, the gskew banks, the tagless CHT and the store
+barrier cache — is one :class:`CounterTable`: a ``bytearray`` of cell
+values plus the geometry every cell shares.  The scalar predictors read
+and train cells through its methods; the replay kernels in
+:mod:`repro.fastpath` walk its ``cells`` in place.  A table pickles as
+its parameters plus the raw bytes, so a snapshot of a 128-cell table
+holds about 128 bytes of state.
+
+:class:`SaturatingCounter` remains for a counter that is the single
+cell of a keyed entry (the full, tagged and annotated CHT entries, the
+address predictor's confidence); :class:`StickyBit` is the paper's
+set-once collision bit.
 """
 
 from __future__ import annotations
+
+
+class CounterTable:
+    """A table of n-bit up/down saturating counters in one ``bytearray``.
+
+    Cell ``i`` behaves exactly like a :class:`SaturatingCounter` with
+    the table's ``bits`` and ``threshold``: it predicts *true* at or
+    above the threshold and trains by one step toward the outcome,
+    saturating at 0 and ``max``.
+    """
+
+    __slots__ = ("cells", "bits", "max", "threshold")
+
+    def __init__(self, size: int, bits: int = 2, initial: int = 0,
+                 threshold: int | None = None) -> None:
+        if not 1 <= bits <= 8:
+            raise ValueError("a table cell holds 1 to 8 bits")
+        self.bits = bits
+        self.max = (1 << bits) - 1
+        if not 0 <= initial <= self.max:
+            raise ValueError("initial value out of range")
+        self.threshold = (self.max + 1) // 2 if threshold is None else threshold
+        if not 0 < self.threshold <= self.max:
+            raise ValueError("threshold out of range")
+        self.cells = bytearray([initial]) * size
+
+    def prediction(self, i: int) -> bool:
+        return self.cells[i] >= self.threshold
+
+    def confidence(self, i: int) -> float:
+        """Cell ``i``'s distance from the decision boundary, in [0, 1]
+        (:attr:`SaturatingCounter.confidence`)."""
+        value = self.cells[i]
+        threshold = self.threshold
+        if value >= threshold:
+            span = self.max - threshold
+            return 1.0 if span == 0 else (value - threshold) / span
+        span = threshold - 1
+        return 1.0 if span == 0 else (threshold - 1 - value) / span
+
+    def train(self, i: int, outcome: bool) -> None:
+        cells = self.cells
+        value = cells[i]
+        if outcome:
+            if value < self.max:
+                cells[i] = value + 1
+        elif value:
+            cells[i] = value - 1
+
+    def reset(self) -> None:
+        """Every cell back to 0 (the power-on state)."""
+        self.cells[:] = bytes(len(self.cells))
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __reduce__(self):
+        return (_restore, (self.bits, self.threshold, bytes(self.cells)))
+
+    def __repr__(self) -> str:
+        return f"CounterTable(size={len(self.cells)}, bits={self.bits})"
+
+
+def _restore(bits: int, threshold: int, cells: bytes) -> CounterTable:
+    """Unpickle a :class:`CounterTable` (short name: snapshots hold one
+    reference per table)."""
+    table = CounterTable(0, bits, threshold=threshold)
+    table.cells = bytearray(cells)
+    return table
 
 
 class SaturatingCounter:
@@ -61,10 +143,10 @@ class SaturatingCounter:
         self.value = value
 
     def __reduce__(self):
-        # Compact pickles: a snapshot holds one of these per table
+        # Compact pickles: a snapshot holds one of these per keyed CHT
         # entry, and the default slotted-object state (a dict of all
-        # four slots per cell) is larger and slower to encode than the
-        # three constructor arguments.
+        # four slots) is larger and slower to encode than the three
+        # constructor arguments.
         return (type(self), (self.bits, self.value, self._threshold))
 
     def __repr__(self) -> str:

@@ -8,12 +8,10 @@ what the paper means by "history length of 11 loads".
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.common import bits
 from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
-from repro.predictors.counters import SaturatingCounter
+from repro.predictors.counters import CounterTable
 
 
 class GSharePredictor(BinaryPredictor):
@@ -31,26 +29,24 @@ class GSharePredictor(BinaryPredictor):
         bits.ilog2(self.n_entries)
         self.counter_bits = counter_bits
         self._history = 0
-        self._table: List[SaturatingCounter] = [
-            SaturatingCounter(counter_bits) for _ in range(self.n_entries)
-        ]
+        self._table = CounterTable(self.n_entries, counter_bits)
 
     def _index(self, pc: int) -> int:
         return bits.gshare_index(pc, self._history, self.n_entries)
 
     def predict(self, pc: int) -> Prediction:
-        cell = self._table[self._index(pc)]
-        return Prediction(outcome=cell.prediction, confidence=cell.confidence)
+        table, i = self._table, self._index(pc)
+        return Prediction(outcome=table.prediction(i),
+                          confidence=table.confidence(i))
 
     def update(self, pc: int, outcome: bool) -> None:
-        self._table[self._index(pc)].train(outcome)
+        self._table.train(self._index(pc), outcome)
         self._history = bits.shift_history(self._history, outcome,
                                            self.history_bits)
 
     def reset(self) -> None:
         self._history = 0
-        for cell in self._table:
-            cell.reset()
+        self._table.reset()
 
     @property
     def storage_bits(self) -> int:

@@ -17,7 +17,7 @@ from typing import List
 from repro.common import bits
 from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
-from repro.predictors.counters import SaturatingCounter
+from repro.predictors.counters import CounterTable
 
 
 class GSkewPredictor(BinaryPredictor):
@@ -37,21 +37,18 @@ class GSkewPredictor(BinaryPredictor):
         bits.ilog2(bank_entries)
         self.counter_bits = counter_bits
         self._history = 0
-        self._banks: List[List[SaturatingCounter]] = [
-            [SaturatingCounter(counter_bits) for _ in range(bank_entries)]
+        self._banks: List[CounterTable] = [
+            CounterTable(bank_entries, counter_bits)
             for _ in range(self.N_BANKS)
         ]
 
-    def _cells(self, pc: int) -> List[SaturatingCounter]:
-        return [
-            self._banks[b][bits.skew_index(pc, self._history, b,
-                                           self.bank_entries)]
-            for b in range(self.N_BANKS)
-        ]
+    def _indices(self, pc: int) -> List[int]:
+        return [bits.skew_index(pc, self._history, b, self.bank_entries)
+                for b in range(self.N_BANKS)]
 
     def predict(self, pc: int) -> Prediction:
-        votes = [cell.prediction for cell in self._cells(pc)]
-        ayes = sum(votes)
+        ayes = sum(map(CounterTable.prediction, self._banks,
+                       self._indices(pc)))
         outcome = ayes >= 2
         # Confidence rises with agreement: unanimous = 1.0, 2-1 split = 0.5.
         confidence = 1.0 if ayes in (0, self.N_BANKS) else 0.5
@@ -61,20 +58,20 @@ class GSkewPredictor(BinaryPredictor):
         # Partial update (the e-gskew policy): on a correct prediction only
         # the agreeing banks are reinforced; on a misprediction all banks
         # are retrained toward the actual outcome.
-        cells = self._cells(pc)
-        predicted = sum(c.prediction for c in cells) >= 2
-        for cell in cells:
-            if predicted == outcome and cell.prediction != outcome:
+        indices = self._indices(pc)
+        votes = list(map(CounterTable.prediction, self._banks, indices))
+        predicted = sum(votes) >= 2
+        for bank, i, vote in zip(self._banks, indices, votes):
+            if predicted == outcome and vote != outcome:
                 continue  # leave the dissenting bank alone
-            cell.train(outcome)
+            bank.train(i, outcome)
         self._history = bits.shift_history(self._history, outcome,
                                            self.history_bits)
 
     def reset(self) -> None:
         self._history = 0
         for bank in self._banks:
-            for cell in bank:
-                cell.reset()
+            bank.reset()
 
     @property
     def storage_bits(self) -> int:

@@ -14,7 +14,7 @@ from typing import List
 from repro.common import bits
 from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
-from repro.predictors.counters import SaturatingCounter
+from repro.predictors.counters import CounterTable
 
 
 class LocalPredictor(BinaryPredictor):
@@ -36,9 +36,7 @@ class LocalPredictor(BinaryPredictor):
                                 else 1 << history_bits)
         bits.ilog2(self.pattern_entries)
         self._histories: List[int] = [0] * n_entries
-        self._pattern: List[SaturatingCounter] = [
-            SaturatingCounter(counter_bits) for _ in range(self.pattern_entries)
-        ]
+        self._pattern = CounterTable(self.pattern_entries, counter_bits)
 
     def _hist_index(self, pc: int) -> int:
         return bits.pc_index(pc, self.n_entries)
@@ -48,20 +46,20 @@ class LocalPredictor(BinaryPredictor):
 
     def predict(self, pc: int) -> Prediction:
         history = self._histories[self._hist_index(pc)]
-        cell = self._pattern[self._pattern_index(history)]
-        return Prediction(outcome=cell.prediction, confidence=cell.confidence)
+        table, i = self._pattern, self._pattern_index(history)
+        return Prediction(outcome=table.prediction(i),
+                          confidence=table.confidence(i))
 
     def update(self, pc: int, outcome: bool) -> None:
         idx = self._hist_index(pc)
         history = self._histories[idx]
-        self._pattern[self._pattern_index(history)].train(outcome)
+        self._pattern.train(self._pattern_index(history), outcome)
         self._histories[idx] = bits.shift_history(history, outcome,
                                                   self.history_bits)
 
     def reset(self) -> None:
         self._histories = [0] * self.n_entries
-        for cell in self._pattern:
-            cell.reset()
+        self._pattern.reset()
 
     @property
     def storage_bits(self) -> int:

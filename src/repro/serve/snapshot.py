@@ -23,9 +23,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.parallel.cache import ResultCache, content_key, key_material
 
-#: Payload format: 2 = per-session pickled blobs (1 held live
-#: predictor objects and is no longer read).
-SNAPSHOT_SCHEMA = 2
+#: Payload format: 3 = per-session pickled blobs whose predictor tables
+#: are flat ``CounterTable`` bytes.  2 pickled the same blobs with
+#: tables of per-cell counter objects, and 1 held live predictor
+#: objects; neither is read.
+SNAPSHOT_SCHEMA = 3
 
 
 def snapshot_key(label: str) -> Tuple[str, str]:

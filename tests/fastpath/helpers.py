@@ -14,18 +14,23 @@ from repro.predictors.gskew import GSkewPredictor
 from repro.predictors.local import LocalPredictor
 
 
+#: Run lengths every kernel suite replays: tiny runs, a serve window and
+#: its neighbours, and three that straddle ``replay``'s 16,384-event
+#: chunk boundary.
+RUN_LENGTHS = (1, 7, 8, 255, 256, 16383, 16384, 16385)
+
+
 def predictor_state(predictor):
     """Full mutable state of a predictor tree, as plain data."""
     if isinstance(predictor, BimodalPredictor):
-        return [c.value for c in predictor._table]
+        return list(predictor._table.cells)
     if isinstance(predictor, LocalPredictor):
-        return (list(predictor._histories),
-                [c.value for c in predictor._pattern])
+        return (list(predictor._histories), list(predictor._pattern.cells))
     if isinstance(predictor, GSharePredictor):
-        return (predictor._history, [c.value for c in predictor._table])
+        return (predictor._history, list(predictor._table.cells))
     if isinstance(predictor, GSkewPredictor):
         return (predictor._history,
-                [[c.value for c in bank] for bank in predictor._banks])
+                [list(bank.cells) for bank in predictor._banks])
     if isinstance(predictor, (MajorityChooser, WeightedChooser)):
         return [predictor_state(c) for c in predictor.components]
     raise TypeError(f"no state extractor for {type(predictor).__name__}")

@@ -79,4 +79,4 @@ class TestClassPickup:
             assert ref.predict(pc) == vec.predict(pc)
             ref.update(pc, outcome)
             vec.update(pc, outcome)
-        assert [c.value for c in ref._table] == [c.value for c in vec._table]
+        assert ref._table.cells == vec._table.cells

@@ -1,4 +1,4 @@
-"""Exactness of the counter and history scans vs. the scalar cells."""
+"""Exactness of the counter and history walks vs. the scalar cells."""
 
 import random
 
@@ -7,23 +7,38 @@ import pytest
 
 from repro.common import bits
 from repro.fastpath.scan import (
-    clamped_walk,
+    counter_walk,
     global_history_walk,
-    history_walk,
+    register_walk,
 )
-from repro.predictors.counters import SaturatingCounter
+from repro.predictors.counters import CounterTable, SaturatingCounter
 
 
-def _scalar_counter_walk(cell_ids, steps, initial, counter_bits):
+def _table(initial, counter_bits):
+    table = CounterTable(len(initial), counter_bits)
+    table.cells[:] = bytes(initial)
+    return table
+
+
+def _walk(cell_ids, ups, initial, counter_bits):
+    table = _table(initial, counter_bits)
+    before = counter_walk(table, np.array(cell_ids, dtype=np.int64),
+                          np.array(ups, dtype=bool))
+    return before, list(table.cells)
+
+
+def _scalar_counter_walk(cell_ids, ups, initial, counter_bits):
     cells = [SaturatingCounter(counter_bits, initial=v) for v in initial]
     before = []
-    for cell_id, step in zip(cell_ids, steps):
+    for cell_id, up in zip(cell_ids, ups):
         before.append(cells[cell_id].value)
-        cells[cell_id].train(step > 0)
+        cells[cell_id].train(up)
     return before, [c.value for c in cells]
 
 
 class TestClampedWalk:
+    """:func:`counter_walk` — each cell a value clamped to [0, max]."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_saturating_counters(self, seed):
         rng = random.Random(seed)
@@ -32,45 +47,35 @@ class TestClampedWalk:
         n_cells = rng.choice([1, 2, 16, 64])
         n = rng.randrange(0, 600)
         cell_ids = [rng.randrange(n_cells) for _ in range(n)]
-        steps = [rng.choice([1, -1]) for _ in range(n)]
+        ups = [rng.random() < 0.5 for _ in range(n)]
         initial = [rng.randrange(max_value + 1) for _ in range(n_cells)]
         exp_before, exp_final = _scalar_counter_walk(
-            cell_ids, steps, initial, counter_bits)
-        before, after, final = clamped_walk(
-            np.array(cell_ids, dtype=np.int64),
-            np.array(steps, dtype=np.int64),
-            np.array(initial, dtype=np.int64), max_value)
+            cell_ids, ups, initial, counter_bits)
+        before, final = _walk(cell_ids, ups, initial, counter_bits)
+        assert before.dtype == np.int64
         assert before.tolist() == exp_before
-        assert final.tolist() == exp_final
-        clipped = np.clip(before + np.array(steps, dtype=np.int64),
-                          0, max_value)
-        assert after.tolist() == clipped.tolist()
+        assert final == exp_final
 
     def test_empty_stream_is_identity(self):
-        initial = np.array([0, 3, 1], dtype=np.int64)
-        before, after, final = clamped_walk(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-            initial, 3)
-        assert len(before) == 0 and len(after) == 0
-        assert final.tolist() == [0, 3, 1]
+        before, final = _walk([], [], [0, 3, 1], 2)
+        assert len(before) == 0
+        assert final == [0, 3, 1]
 
     def test_single_cell_saturation_run(self):
         n = 50
-        before, _, final = clamped_walk(
-            np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64),
-            np.array([0], dtype=np.int64), 3)
+        before, final = _walk([0] * n, [True] * n, [0], 2)
         assert before.tolist() == [0, 1, 2] + [3] * (n - 3)
-        assert final.tolist() == [3]
+        assert final == [3]
 
     def test_untouched_cells_keep_initial_values(self):
-        before, _, final = clamped_walk(
-            np.array([2, 2], dtype=np.int64),
-            np.array([1, 1], dtype=np.int64),
-            np.array([1, 2, 0, 3], dtype=np.int64), 3)
-        assert final.tolist() == [1, 2, 2, 3]
+        before, final = _walk([2, 2], [True, True], [1, 2, 0, 3], 2)
+        assert before.tolist() == [0, 1]
+        assert final == [1, 2, 2, 3]
 
 
 class TestHistoryWalk:
+    """:func:`register_walk` — per-PC shift registers of outcomes."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_shift_history(self, seed):
         rng = random.Random(seed + 50)
@@ -86,23 +91,21 @@ class TestHistoryWalk:
             expected.append(registers[group])
             registers[group] = bits.shift_history(registers[group],
                                                   outcome, length)
-        before, final = history_walk(
-            np.array(group_ids, dtype=np.int64),
-            np.array(outcomes, dtype=bool),
-            np.array(initial, dtype=np.int64), length)
-        assert before.tolist() == expected
-        assert final.tolist() == registers
+        walked = list(initial)
+        before = register_walk(walked, np.array(group_ids, dtype=np.int64),
+                               np.array(outcomes, dtype=bool), length)
+        assert before == expected
+        assert walked == registers
+        assert all(type(r) is int for r in walked)
 
     def test_initial_history_bits_shift_out(self):
         # A register starting at all-ones must lose one initial bit per
         # event until only the event window remains.
-        length = 4
-        outcomes = [False] * 6
-        before, final = history_walk(
-            np.zeros(6, dtype=np.int64), np.array(outcomes, dtype=bool),
-            np.array([0b1111], dtype=np.int64), length)
-        assert before.tolist() == [0b1111, 0b1110, 0b1100, 0b1000, 0, 0]
-        assert final.tolist() == [0]
+        registers = [0b1111]
+        before = register_walk(registers, np.zeros(6, dtype=np.int64),
+                               np.zeros(6, dtype=bool), 4)
+        assert before == [0b1111, 0b1110, 0b1100, 0b1000, 0, 0]
+        assert registers == [0]
 
 
 class TestGlobalHistoryWalk:

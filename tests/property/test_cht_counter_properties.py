@@ -90,14 +90,14 @@ class TestTaglessTrainSemantics:
         looked_up = cht.lookup(0x40)
         assert looked_up.colliding == model.prediction
         if index is not None:
-            assert cht._counters[index].value == model.value
+            assert cht._counters.cells[index] == model.value
 
     @given(collision_stream)
     @settings(max_examples=80, deadline=None)
     def test_distance_is_min_since_last_reset(self, stream):
         """The sidecar holds the minimum distance supplied since the
         counter last trained to "not colliding" — the law the fastpath
-        segmented reduce relies on."""
+        kernel's loop applies."""
         cht = TaglessCHT(n_entries=64, counter_bits=1, track_distance=True)
         model = SaturatingCounter(1)
         expected = None

@@ -1,6 +1,6 @@
 """Property-based tests for predictors and CHTs."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cht.combined import CombinedCHT
@@ -106,9 +106,18 @@ class TestChtProperties:
             combined.train(pc, collided, distance)
 
     @given(collision_events)
+    @example([(0, True, 1), (0, False, 1), (0, False, 1), (0, False, 1),
+              (0, True, 2)])
     @settings(max_examples=30, deadline=None)
     def test_distance_never_increases(self, stream):
-        """The learned distance converges on the minimum seen."""
+        """The learned distance converges on the minimum seen since the
+        entry was last (re)allocated.
+
+        ``FullCHT`` invalidates an entry whose counter decays to
+        non-colliding (section 2.1's policy); a later collision
+        re-allocates it with a fresh distance, so the model forgets its
+        minimum whenever a non-collision leaves the load predicted
+        non-colliding."""
         cht = FullCHT(n_entries=4096, ways=4, track_distance=True)
         seen = {}
         for pc, collided, distance in stream:
@@ -121,6 +130,8 @@ class TestChtProperties:
                     assert got.distance <= seen[key]
             else:
                 cht.train(pc, False, None)
+                if not cht.lookup(pc).colliding:
+                    seen.pop(pc, None)
 
     @given(collision_events)
     @settings(max_examples=20, deadline=None)

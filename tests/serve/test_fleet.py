@@ -268,3 +268,21 @@ def test_start_refuses_a_schema_1_snapshot(tmp_path):
     assert snapshot_path(str(tmp_path), "snap-w0") in str(info.value)
     assert "schema 1" in str(info.value)
     assert not fleet.workers  # refused before anything was spawned
+
+
+def test_start_refuses_a_schema_2_snapshot(tmp_path):
+    """Schema-2 blobs pickled tables of per-cell counter objects, which
+    the flat-table predictors cannot use: start() names the file and
+    spawns nothing, the same rule as for schema 1."""
+    (tmp_path / "fleet.json").write_text(
+        json.dumps({"schema": 1, "workers": ["w0"]}))
+    blob = pickle.dumps({"spec": SPEC.to_json_dict(),
+                         "predictor": build_predictor(SPEC), "served": 3})
+    save_snapshot(str(tmp_path), "snap-w0",
+                  {"schema": 2, "sessions": {"old": blob}})
+    fleet = ServeFleet(n_workers=1, config=CONFIG, state_dir=str(tmp_path))
+    with pytest.raises(FleetError) as info:
+        asyncio.run(fleet.start())
+    assert snapshot_path(str(tmp_path), "snap-w0") in str(info.value)
+    assert "schema 2" in str(info.value)
+    assert not fleet.workers
