@@ -54,7 +54,7 @@ def metric_higher_is_better(name: str) -> bool:
     leaf = name.rsplit(".", 1)[-1]
     if leaf.endswith("_us") or leaf.startswith(("p50", "p90", "p99")):
         return False
-    if leaf in ("lost", "errors", "abort_mismatch"):
+    if leaf in ("lost", "errors"):
         return False
     return True
 
@@ -73,9 +73,7 @@ def extract_metrics(report: Mapping[str, object]) -> Dict[str, float]:
       ``fleet.speedup_vs_single_process``,
       ``fleet.aggregate_steps_rps``, ``fleet.capacity_rps`` and, per
       scenario, ``fleet.<scenario>.{achieved_rps,lost,errors}`` and
-      ``fleet.<scenario>.latency_us.p99``; schema-4 reports with a
-      ``hottrace`` section yield ``hottrace.{speedup,hit_rate,
-      abort_mismatch}`` plus the same leaves per profile;
+      ``fleet.<scenario>.latency_us.p99``;
     * throughput reports → ``schemes.<name>.uops_per_sec``,
       ``engine.<scheme>.{reference,vectorized}_uops_per_sec`` (the
       whole-machine replay backends, docs/engine.md),
@@ -99,9 +97,6 @@ def extract_metrics(report: Mapping[str, object]) -> Dict[str, float]:
         fleet = report.get("fleet")
         if isinstance(fleet, Mapping):
             out.update(_extract_fleet_metrics(fleet))
-        hottrace = report.get("hottrace")
-        if isinstance(hottrace, Mapping):
-            out.update(_extract_hottrace_metrics(hottrace))
         return out
     if report.get("benchmark") == "throughput":
         for scheme, data in dict(report.get("schemes", {})).items():
@@ -167,30 +162,6 @@ def _extract_fleet_metrics(fleet: Mapping[str, object]) -> Dict[str, float]:
             p99 = latency.get("p99")
             if isinstance(p99, (int, float)):
                 out[f"fleet.{scenario}.latency_us.p99"] = float(p99)
-    return out
-
-
-def _extract_hottrace_metrics(hottrace: Mapping[str, object]
-                              ) -> Dict[str, float]:
-    """Gateable metrics from a schema-4 ``hottrace`` bench section.
-
-    ``hottrace.speedup`` and ``hottrace.hit_rate`` hold the steady
-    Zipf profile's floor (hot-trace replay must keep paying for
-    itself); ``hottrace.abort_mismatch`` gates lower-is-better at a
-    zero baseline — a single speculative commit that diverged from its
-    shadow re-execution fails the gate outright."""
-    out: Dict[str, float] = {}
-    for key in ("speedup", "hit_rate", "abort_mismatch"):
-        value = hottrace.get(key)
-        if isinstance(value, (int, float)):
-            out[f"hottrace.{key}"] = float(value)
-    for profile, data in dict(hottrace.get("profiles", {})).items():
-        if not isinstance(data, Mapping):
-            continue
-        for leaf in ("speedup", "hit_rate", "abort_mismatch"):
-            value = data.get(leaf)
-            if isinstance(value, (int, float)):
-                out[f"hottrace.{profile}.{leaf}"] = float(value)
     return out
 
 

@@ -15,9 +15,6 @@ and a telemetry on/off overhead comparison (see
 :mod:`repro.serve.bench`).  ``--fleet`` adds the schema-3 ``fleet``
 section: open-loop Zipf/Poisson scenarios (steady, overload,
 rebalance, kill-a-worker chaos) against an N-process fleet.
-``--hottrace`` adds the schema-4 ``hottrace`` section: guarded
-hot-trace replay measured on vs off (hit rate, abort counters,
-steps/s speedup) over recurring-window and fresh-window profiles.
 
 ``python -m repro.serve top``    — live terminal dashboard over the
 exported metrics stream (rps, queue depth, batch-size distribution,
@@ -110,8 +107,8 @@ def main(argv=None) -> int:
     serve_p.add_argument("--policy", default=None, metavar="JSON",
                         help="ExecutionPolicy as JSON, e.g. "
                              "'{\"backend\": \"vectorized\", "
-                             "\"hottrace\": true}' (default: the "
-                             "process default chain)")
+                             "\"check_invariants\": \"on\"}' "
+                             "(default: the process default chain)")
     serve_p.add_argument("--no-telemetry", action="store_true",
                         help="disable per-request span tracing")
     serve_p.add_argument("--trace-sample-shift", type=int, default=6,
@@ -170,17 +167,6 @@ def main(argv=None) -> int:
                          help="PredictorSpec kind for the fleet "
                               "scenarios (compact state recommended; "
                               "see repro.serve.bench.run_fleet_bench)")
-    bench_p.add_argument("--hottrace", action="store_true",
-                         help="also run the hot-trace replay on/off "
-                              "profiles (schema-4 `hottrace` section)")
-    bench_p.add_argument("--hottrace-workers", type=int, default=2,
-                         help="worker processes per hottrace arm")
-    bench_p.add_argument("--hottrace-seconds", type=float, default=None,
-                         help="wall-clock budget of the hottrace "
-                              "section (default: --seconds)")
-    bench_p.add_argument("--hottrace-only", action="store_true",
-                         help="run only the hottrace section (sides "
-                              "are skipped)")
 
     top_p = sub.add_parser("top", help="live metrics dashboard")
     top_p.add_argument("--metrics-dir", default=None,
@@ -211,7 +197,7 @@ def main(argv=None) -> int:
                                          "metrics.jsonl")
         return run_top(path, interval_s=args.interval, once=args.once)
 
-    if args.fleet_only or args.hottrace_only:
+    if args.fleet_only:
         from repro.obs.provenance import collect_provenance
         from repro.serve.bench import BENCH_SCHEMA
         import time as _time
@@ -240,14 +226,6 @@ def main(argv=None) -> int:
             n_shards=args.shards, max_batch=args.max_batch,
             max_delay_us=args.max_delay_us,
             metrics_jsonl=args.fleet_metrics)
-    if args.hottrace or args.hottrace_only:
-        from repro.serve.bench import run_hottrace_bench
-        report["hottrace"] = run_hottrace_bench(
-            workers=args.hottrace_workers,
-            seconds=(args.hottrace_seconds
-                     if args.hottrace_seconds is not None
-                     else args.seconds),
-            clients=args.clients, n_shards=args.shards)
     path = write_report(report, args.out)
     print(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote {path}", file=sys.stderr)

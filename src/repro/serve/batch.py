@@ -15,21 +15,24 @@ splits each session's run at non-``step`` ops:
   :func:`scalar_steps` / the per-op appliers below, which *are* the
   semantics.
 
-A third path sits in front of both when the shard's
-:class:`~repro.api.ExecutionPolicy` enables it: the hot-trace memoized
-replay (:mod:`repro.fastpath.hottrace`), which answers a recurring
-(state, window) pair from a guarded capture and aborts to the paths
-below on any guard failure.  The executors report which path answered
-(``via`` in ``{"scalar", "kernel", "hottrace"}``).
+A third path sits in front of both in every shard: the hot-trace
+memoized replay (:mod:`repro.fastpath.hottrace`), which answers a
+recurring (state, window) pair from a guarded capture and aborts to
+the paths above on any guard failure.  A window long enough for either
+the kernel or the memo is packed once into one int64 lane block
+(:func:`pack_lanes`): the kernel reads it and the memo keys on its
+bytes.  The executors report which path answered (``via`` in
+``{"scalar", "kernel", "hottrace"}``).
 
 The service's correctness invariant is the package-wide one: batched
 results and post-batch predictor state bit-identical to the sequential
 scalar replay of the same per-session request stream.  When the
 shard's policy arms the oracle (``ExecutionPolicy.invariants_active``)
-every kernel dispatch is shadowed by a scalar replay on a deep copy and
-both results and state are compared (:class:`ServeInvariantViolation`
-on any mismatch) — the serving counterpart of :mod:`repro.robust`'s engine oracle.  Hot-trace hits
-carry the same oracle inside :mod:`repro.fastpath.hottrace`.
+every kernel dispatch and every hot-trace hit is shadowed by a scalar
+replay on a deep copy and both results and state are compared
+(:func:`check_against_scalar`, :class:`ServeInvariantViolation` on any
+mismatch) — the serving counterpart of :mod:`repro.robust`'s engine
+oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import pickle
 import struct
 from typing import List, Optional, Sequence, Tuple
 
+from repro.fastpath.hottrace import MIN_TRACE_LEN, HotTraceEngine
 from repro.serve.protocol import PredictRequest
 
 class ServeInvariantViolation(AssertionError):
@@ -153,8 +157,8 @@ def degrade_reason(session, backend: str) -> Optional[str]:
 
 
 def execute_steps_ex(session, requests: Sequence[PredictRequest],
-                     backend: str, min_kernel_run: int = 8,
-                     hottrace=None, check: bool = False
+                     backend: str, min_kernel_run: int,
+                     memo: HotTraceEngine, check: bool = False
                      ) -> Tuple[List[int], str]:
     """Execute one same-session run of ``step`` requests.
 
@@ -169,40 +173,95 @@ def execute_steps_ex(session, requests: Sequence[PredictRequest],
     distances = [-1 if r.distance is None else int(r.distance)
                  for r in requests]
     return execute_step_arrays_ex(session, pcs, outcomes, distances,
-                                  backend, min_kernel_run, hottrace,
+                                  backend, min_kernel_run, memo,
                                   check)
+
+
+def pack_lanes(pcs: Sequence[int], outcomes: Sequence[int],
+               distances: Sequence[int]) -> bytes:
+    """One window's three lanes as one ``(3, n)`` little-endian int64
+    block — the form the kernel reads and the hot-trace memo keys on.
+    Equal blocks mean equal lanes."""
+    n = len(pcs)
+    return struct.pack(f"<{3 * n}q", *pcs, *outcomes, *distances)
+
+
+def unpack_lanes(lanes: bytes) -> Tuple[Tuple[int, ...], ...]:
+    """``(pcs, outcomes, distances)`` of a :func:`pack_lanes` block."""
+    n = len(lanes) // 24
+    flat = struct.unpack(f"<{3 * n}q", lanes)
+    return flat[:n], flat[n:2 * n], flat[2 * n:]
+
+
+def check_against_scalar(session, shadow: object, pcs: Sequence[int],
+                         outcomes: Sequence[int],
+                         distances: Sequence[int],
+                         results: Sequence[int],
+                         post_state: Optional[bytes], what: str) -> None:
+    """The shadow oracle of every fast path.
+
+    ``shadow`` is a private copy of the predictor as it stood before
+    the window; it is replayed through :func:`scalar_steps`, and the
+    candidate's ``results`` and pickled ``post_state`` must match the
+    replay's (state bytes compared raw, then through
+    :func:`_canonical_state`, since raw pickles of one logical state
+    can differ across object lineages).  Raises
+    :class:`ServeInvariantViolation` naming ``what`` diverged."""
+    expect = scalar_steps(session.family, shadow, pcs, outcomes, distances)
+    results = list(results)
+    n = len(expect)
+    label = f"session {session.session_id!r} ({session.spec.kind}): {what}"
+    if results != expect:
+        index = next((i for i, (a, b) in enumerate(zip(results, expect))
+                      if a != b), min(len(results), n))
+        raise ServeInvariantViolation(
+            f"{label} results diverging from the scalar replay at index "
+            f"{index} of {n}")
+    shadow_state = _state_bytes(shadow)
+    if (post_state is not None and shadow_state is not None
+            and post_state != shadow_state
+            and _canonical_state(post_state)
+            != _canonical_state(shadow_state)):
+        raise ServeInvariantViolation(
+            f"{label} left predictor state diverging from the scalar "
+            f"replay ({n} steps)")
 
 
 def execute_step_arrays_ex(session, pcs: Sequence[int],
                            outcomes: Sequence[int],
                            distances: Sequence[int], backend: str,
-                           min_kernel_run: int = 8,
-                           hottrace=None, check: bool = False
+                           min_kernel_run: int, memo: HotTraceEngine,
+                           check: bool = False
                            ) -> Tuple[List[int], str]:
     """The array-form core of :func:`execute_steps_ex` (``-1`` distance
     = none) — also the execution path of ``replay`` windows, which
     arrive as arrays and never materialise per-step request objects.
 
-    ``hottrace`` is the shard's :class:`repro.fastpath.hottrace.
-    HotTraceEngine` (or None).  A guarded memo hit answers the window
-    without executing a step; otherwise the window runs through the
-    kernel/scalar paths below and — when hot — is offered back to the
-    recorder, which also keeps the state-digest chain honest for runs
-    too short to memoize.  ``check`` arms the kernel oracle (the
-    caller's ``ExecutionPolicy.invariants_active()``).
+    ``memo`` is the shard's :class:`repro.fastpath.hottrace.
+    HotTraceEngine`.  A guarded memo hit answers the window without
+    executing a step; otherwise the window runs through the
+    kernel/scalar paths below and is offered back to the recorder.
+    Runs too short to memoize break the session's state-digest chain.
+    ``check`` arms the shadow oracle (the caller's
+    ``ExecutionPolicy.invariants_active()``).
     """
     n = len(pcs)
-    pre_digest = None
-    if hottrace is not None:
-        cached = hottrace.try_replay(session, pcs, outcomes, distances)
-        if cached is not None:
-            return cached, VIA_HOTTRACE
-        st = getattr(session, "hottrace", None)
-        pre_digest = st.state_digest if st is not None else None
-
     use_kernel = (n >= max(1, min_kernel_run)
                   and _kernel_eligible(session.family, session.predictor,
                                        backend))
+    memoize = n >= MIN_TRACE_LEN
+    try:
+        lanes = (pack_lanes(pcs, outcomes, distances)
+                 if use_kernel or memoize else None)
+    except struct.error:
+        # A lane value outside int64 (the wire protocol does not
+        # range-check): only the scalar loop takes Python ints whole.
+        lanes, use_kernel, memoize = None, False, False
+    if memoize:
+        cached = memo.try_replay(session, lanes, check)
+        if cached is not None:
+            return cached, VIA_HOTTRACE
+
     try:
         if not use_kernel:
             results = scalar_steps(session.family, session.predictor,
@@ -213,29 +272,15 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
 
             from repro.fastpath import batchapi
             import numpy as np
+            block = np.frombuffer(lanes, dtype="<i8").reshape(3, n)
             results = batchapi.replay_steps(
-                session.family, session.predictor,
-                np.asarray(pcs, dtype=np.int64),
-                np.asarray(outcomes, dtype=np.int64),
-                np.asarray(distances, dtype=np.int64)).tolist()
+                session.family, session.predictor, block[0], block[1],
+                block[2]).tolist()
 
             if check:
-                expect = scalar_steps(session.family, shadow, pcs,
-                                      outcomes, distances)
-                if results != expect:
-                    raise ServeInvariantViolation(
-                        f"session {session.session_id!r} ({session.spec.kind}): "
-                        f"kernel batch results diverge from scalar replay at "
-                        f"index {next(i for i, (a, b) in enumerate(zip(results, expect)) if a != b)} "
-                        f"of {n}")
-                state, shadow_state = (_state_bytes(session.predictor),
-                                       _state_bytes(shadow))
-                if (state is not None and shadow_state is not None
-                        and state != shadow_state):
-                    raise ServeInvariantViolation(
-                        f"session {session.session_id!r} ({session.spec.kind}): "
-                        f"kernel batch left different predictor state than the "
-                        f"scalar replay ({n} steps)")
+                check_against_scalar(
+                    session, shadow, pcs, outcomes, distances, results,
+                    _state_bytes(session.predictor), "kernel batch")
             via = VIA_KERNEL
     except BaseException:
         # A mid-window exception (bad op arguments, a kernel fault, a
@@ -244,13 +289,27 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
         # describe the *pre-window* state: break the chain so a later
         # hot window re-fingerprints the true (drifted) state instead
         # of guard-passing against a stale capture.
-        if hottrace is not None:
-            hottrace.note_mutation(session)
+        HotTraceEngine.note_mutation(session)
         raise
-    if hottrace is not None:
-        hottrace.record(session, pcs, outcomes, distances, results,
-                        pre_digest)
+    if memoize:
+        memo.record(session, lanes, results)
+    else:
+        HotTraceEngine.note_mutation(session)  # too short to memoize
     return results, via
+
+
+def _canonical_state(raw: bytes) -> bytes:
+    """Pickle bytes normalized through one ``loads``/``dumps`` round
+    trip.
+
+    Raw pickles are not byte-canonical across lineages: a freshly
+    constructed predictor shares interned strings that a rehydrated one
+    does not, so two logically identical states can pickle to different
+    bytes (different memo back-references).  One round trip erases the
+    interning-induced sharing, after which the encoding is a fixed
+    point — the comparison the shadow oracle needs."""
+    return pickle.dumps(pickle.loads(raw),
+                        protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _state_bytes(predictor: object) -> Optional[bytes]:
@@ -282,7 +341,7 @@ def replay_digest(results: Sequence[int]) -> int:
 
 
 def execute_replay_ex(session, request: PredictRequest, backend: str,
-                      min_kernel_run: int = 8, hottrace=None,
+                      min_kernel_run: int, memo: HotTraceEngine,
                       check: bool = False) -> Tuple[int, int, str]:
     """Execute one ``replay`` request's trace window.
 
@@ -291,13 +350,13 @@ def execute_replay_ex(session, request: PredictRequest, backend: str,
     dispatch rules, same invariant shadow-check via
     :func:`execute_step_arrays_ex`), but the window is one admission
     unit: one future, one WAL record, one wire round trip — and the op
-    where hot-trace amortization pays most (whole windows arrive
-    pre-packed as the exact lanes the memo is keyed on)."""
+    where hot-trace amortization pays most (a whole recurring window
+    answers from one memo hit)."""
     pcs = request.pcs or ()
     outcomes = request.outcomes or ()
     distances = (request.distances if request.distances is not None
                  else [-1] * len(pcs))
     results, via = execute_step_arrays_ex(
         session, pcs, outcomes, distances, backend, min_kernel_run,
-        hottrace, check)
+        memo, check)
     return replay_digest(results), len(results), via

@@ -66,10 +66,9 @@ from repro.serve.service import PredictionService
 #: provenance and the telemetry on/off comparison; 3 adds the
 #: multi-process ``fleet`` section (open-loop scenarios: steady /
 #: overload / rebalance / chaos-kill, and the fleet-vs-single-process
-#: aggregate comparison); 4 adds the ``hottrace`` section (guarded
-#: hot-trace replay on/off per workload profile: hit rate, abort
-#: counters, steps/s speedup).
-BENCH_SCHEMA = 4
+#: aggregate comparison); 4 added the ``hottrace`` on/off section; 5
+#: drops it again (hot-trace runs in every shard, so it has no off arm).
+BENCH_SCHEMA = 5
 
 #: Distinct load PCs per client session (enough to exercise tables,
 #: few enough that predictors warm up within a short run).
@@ -613,186 +612,6 @@ def run_fleet_bench(workers: int = 4, seconds: float = 10.0,
         n_shards, max_batch, max_delay_us, seed, state_dir,
         metrics_jsonl, chunk_steps=chunk_steps,
         comparison_spec=comparison_spec))
-
-
-# --------------------------------------------------------------------------
-# The hottrace section (schema 4)
-# --------------------------------------------------------------------------
-
-
-async def _hottrace_arm_round(fleet, model) -> float:
-    """One measured slice against one arm; returns steps/s."""
-    from repro.serve.loadgen import run_closed_loop
-    rep = await run_closed_loop(fleet, model, window=8)
-    return rep["achieved_steps_rps"]
-
-
-async def _run_hottrace_profile(name: str, workers: int,
-                                slice_s: float, clients: int,
-                                n_shards: int, seed: int,
-                                state_dir: str, phase_windows: int,
-                                rounds: int,
-                                warmup_rounds: int = 1
-                                ) -> Dict[str, object]:
-    """One workload profile, hottrace on vs off.
-
-    Both arms run ``backend="reference"`` — the hot-trace layer's
-    question is *speculative replay vs actually executing the window*,
-    so the off arm is the scalar interpreter the memo short-circuits
-    (``sides.vectorized`` already covers kernel-vs-scalar).  Arms are
-    measured in ABBA-paired rounds against two persistent fleets so
-    machine drift hits both equally and the on arm's captured traces
-    stay warm across rounds, like a long-lived deployment.
-
-    The churn profile (``phase_windows=0``) reseeds its schedule every
-    round: the closed loop laps its schedule and the rounds would
-    otherwise re-offer last round's "fresh" windows, which is exactly
-    the recurrence churn exists to exclude."""
-    import dataclasses
-
-    from repro.serve.fleet import ServeFleet
-    from repro.serve.loadgen import LoadModel
-
-    chunk = 2048
-    base_model = LoadModel(
-        n_sessions=32, zipf_s=1.3, spec_kind="binary.gshare",
-        spec_params=(("history", 8),), arrival="poisson",
-        rate_rps=600.0 if phase_windows else 4000.0,
-        seconds=slice_s, clients=min(clients, 16),
-        seed=seed, pc_space=48, chunk_steps=chunk,
-        phase_windows=phase_windows)
-
-    def model(tag: int) -> "LoadModel":
-        if phase_windows:
-            # Recurring banks: the same schedule every round *is* the
-            # workload (sessions re-running their phase repertoire).
-            return base_model
-        return dataclasses.replace(base_model, seed=seed + 100 + tag)
-
-    arms: Dict[str, Dict[str, object]] = {}
-    policies = {
-        "off": REFERENCE,
-        "on": ExecutionPolicy(backend="reference", hottrace=True,
-                              hot_threshold=2),
-    }
-    fleets = {}
-    try:
-        for arm, policy in policies.items():
-            fleet = ServeFleet(
-                n_workers=workers,
-                config=ServeConfig(n_shards=n_shards, max_batch=1024,
-                                   max_delay_us=1000, queue_depth=65536,
-                                   policy=policy),
-                state_dir=os.path.join(state_dir, f"{name}-{arm}"),
-                outstanding_limit=4096, wal_limit=400_000)
-            await fleet.start(recover=False)
-            fleets[arm] = fleet
-            # Unrecorded warmup laps: predictor tables fill, the on
-            # arm's hot windows cross the heat threshold, capture, and
-            # converge to their steady pre-state fixed points.
-            for w in range(warmup_rounds):
-                await _hottrace_arm_round(fleet, model(-1 - w))
-        per_round: List[Dict[str, float]] = []
-        for i in range(rounds):
-            order = ("on", "off") if i % 2 == 0 else ("off", "on")
-            rps = {}
-            for arm in order:
-                rps[arm] = await _hottrace_arm_round(fleets[arm],
-                                                     model(i))
-            per_round.append(rps)
-        for arm, fleet in fleets.items():
-            await fleet.poll_stats()
-            totals = fleet.stats()["totals"]
-            arms[arm] = {
-                "steps_rps": round(statistics.median(
-                    r[arm] for r in per_round), 1),
-                "degraded": totals["degraded"],
-            }
-            if "hottrace" in totals:
-                arms[arm]["hottrace"] = totals["hottrace"]
-    finally:
-        for fleet in fleets.values():
-            await fleet.stop()
-    ht = arms["on"].get("hottrace", {})
-    windows = max(int(ht.get("windows", 0)), 1)
-    off_rps = max(arms["off"]["steps_rps"], 1e-9)
-    return {
-        "phase_windows": phase_windows,
-        "chunk_steps": chunk,
-        "model": {"n_sessions": base_model.n_sessions,
-                  "zipf_s": base_model.zipf_s,
-                  "spec": spec_for(base_model.spec_kind,
-                                   **dict(base_model.spec_params))
-                          .to_json_dict()},
-        "rounds": len(per_round),
-        "per_round": [{a: round(r[a], 1) for a in r}
-                      for r in per_round],
-        "arms": arms,
-        "hit_rate": round(int(ht.get("hits", 0)) / windows, 4),
-        "steps_saved": int(ht.get("steps_saved", 0)),
-        "aborts": int(ht.get("aborts", 0)),
-        "abort_mismatch": int(ht.get("abort_mismatch", 0)),
-        "speedup": round(arms["on"]["steps_rps"] / off_rps, 3),
-    }
-
-
-async def _run_hottrace_section(workers: int, seconds: float,
-                                clients: int, n_shards: int, seed: int,
-                                state_dir: Optional[str]
-                                ) -> Dict[str, object]:
-    import tempfile
-    state_dir = state_dir or tempfile.mkdtemp(prefix="bench-hottrace-")
-    slice_s = max(seconds / 12.0, 0.6)
-    section: Dict[str, object] = {
-        "workers": workers,
-        "backend": "reference",
-        "note": ("hot-trace guarded replay on vs off, identical "
-                 "closed-loop Zipf trace-window workload per arm; "
-                 "steady_zipf cycles a per-session bank of recurring "
-                 "windows (the regime speculation targets), churn "
-                 "draws every window fresh (the adversarial bound on "
-                 "speculation overhead — hit rate stays 0)"),
-        "profiles": {},
-    }
-    section["profiles"]["steady_zipf"] = await _run_hottrace_profile(
-        "steady", workers, slice_s, clients, n_shards, seed + 11,
-        state_dir, phase_windows=3, rounds=3, warmup_rounds=3)
-    section["profiles"]["churn"] = await _run_hottrace_profile(
-        "churn", workers, slice_s, clients, n_shards, seed + 12,
-        state_dir, phase_windows=0, rounds=2)
-    steady = section["profiles"]["steady_zipf"]
-    section["speedup"] = steady["speedup"]
-    section["hit_rate"] = steady["hit_rate"]
-    section["abort_mismatch"] = (
-        steady["abort_mismatch"]
-        + section["profiles"]["churn"]["abort_mismatch"])
-    section["churn_overhead_frac"] = round(
-        1.0 - section["profiles"]["churn"]["speedup"], 3)
-    return section
-
-
-def run_hottrace_bench(workers: int = 2, seconds: float = 8.0,
-                       clients: int = 32, n_shards: int = 2,
-                       seed: int = 2024,
-                       state_dir: Optional[str] = None
-                       ) -> Dict[str, object]:
-    """The schema-4 ``hottrace`` section: guarded hot-trace replay
-    measured on/off over two fleet workload profiles.
-
-    * **steady_zipf** — sessions re-run a small bank of phase windows
-      (``phase_windows=4``) under Zipf popularity: the recurrence the
-      recorder speculates on.  Headline ``speedup`` (steps/s, on/off)
-      and ``hit_rate`` come from here.
-    * **churn** — every window is drawn fresh, so nothing ever gets
-      hot: hit rate pins at 0 and the profile's inverted speedup is
-      the *overhead bound* of heat bookkeeping on the miss path.
-
-    ``abort_mismatch`` aggregates the zero-tolerance counter (a
-    speculative commit whose shadow re-execution disagreed) across
-    both profiles — any nonzero value is a correctness bug, and the
-    CI gate treats it as such."""
-    return asyncio.run(_run_hottrace_section(
-        workers, seconds, clients, n_shards, seed, state_dir))
 
 
 def write_report(report: Dict[str, object],

@@ -932,7 +932,7 @@ class ServeFleet:
     async def poll_stats(self) -> None:
         """Refresh each live worker's service totals over the link.
 
-        Worker-side counters (hottrace hit/abort, backend degrades,
+        Worker-side counters (hot-trace hit/abort, backend degrades,
         batch histograms) otherwise only reach the router in the
         ``bye`` frame at drain; bench and ``serve top`` call this so
         :meth:`stats` reflects a *running* fleet."""
@@ -979,16 +979,14 @@ class ServeFleet:
                                 for w in self.workers.values()),
         }
         # Worker-service counters (freshest of live poll vs bye frame):
-        # degrade totals always, hottrace block when speculation is on.
+        # degrade and hot-trace totals.
         from repro.serve.service import aggregate_hottrace
         reports = [w.final_stats or w.live_stats
                    for w in self.workers.values()]
         reports = [r for r in reports if r is not None]
         totals["degraded"] = sum(int(r.get("degraded", 0))
                                  for r in reports)
-        hottrace = aggregate_hottrace(reports)
-        if hottrace is not None:
-            totals["hottrace"] = hottrace
+        totals["hottrace"] = aggregate_hottrace(reports)
         return {"config": {
                     "n_workers": len(self.workers),
                     "wal_limit": self.wal_limit,

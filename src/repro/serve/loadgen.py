@@ -88,14 +88,6 @@ class LoadModel:
     #: *request* arrival rate, so the offered step rate is
     #: ``rate_rps × chunk_steps``).
     chunk_steps: int = 1
-    #: Phase behaviour of a session's windows.  0 (default) draws every
-    #: window fresh — no window ever repeats, the adversarial case for
-    #: memoization.  N >= 1 gives each session a deterministic bank of
-    #: N distinct windows cycled round-robin across its arrivals — the
-    #: production-shaped case (docs/hottrace.md): a session re-running
-    #: its phase repertoire, which is what the hot-trace layer
-    #: speculates on.  Only meaningful with ``chunk_steps > 1``.
-    phase_windows: int = 0
 
     def __post_init__(self) -> None:
         if self.n_sessions < 1:
@@ -110,10 +102,6 @@ class LoadModel:
             raise ValueError("burst_fraction must be in (0, 1)")
         if self.chunk_steps < 1:
             raise ValueError("chunk_steps must be >= 1")
-        if self.phase_windows < 0:
-            raise ValueError("phase_windows must be >= 0")
-        if self.phase_windows and self.chunk_steps == 1:
-            raise ValueError("phase_windows requires chunk_steps > 1")
 
 
 @dataclass
@@ -193,43 +181,10 @@ def build_schedule(model: LoadModel) -> Schedule:
     shape = (n,) if model.chunk_steps == 1 else (n, model.chunk_steps)
     pcs = 0x400 + (rng.integers(0, model.pc_space, size=shape) * 4)
     outcomes = rng.integers(0, 2, size=shape)
-    if model.phase_windows:
-        pcs, outcomes = _phase_lanes(model, ranks)
     return Schedule(times_s=times, session_ranks=ranks.astype(np.int64),
                     pcs=pcs.astype(np.int64),
                     outcomes=outcomes.astype(np.int64),
                     chunk_steps=model.chunk_steps)
-
-
-def _phase_lanes(model: LoadModel, ranks: "np.ndarray"
-                 ) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Phased windows: each session cycles a deterministic bank of
-    ``phase_windows`` distinct windows across its arrivals.
-
-    The bank is seeded per (model seed, session rank), so two runs of
-    the same model offer byte-identical traffic whatever the arrival
-    interleaving — the differential-suite property the random path
-    already has."""
-    n = len(ranks)
-    k, w = model.phase_windows, model.chunk_steps
-    banks: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
-    seen: Dict[int, int] = {}
-    pcs = np.empty((n, w), dtype=np.int64)
-    outcomes = np.empty((n, w), dtype=np.int64)
-    for i in range(n):
-        rank = int(ranks[i])
-        bank = banks.get(rank)
-        if bank is None:
-            brng = np.random.default_rng((model.seed, rank))
-            bank = (0x400 + brng.integers(0, model.pc_space,
-                                          size=(k, w)) * 4,
-                    brng.integers(0, 2, size=(k, w)))
-            banks[rank] = bank
-        occurrence = seen.get(rank, 0)
-        seen[rank] = occurrence + 1
-        pcs[i] = bank[0][occurrence % k]
-        outcomes[i] = bank[1][occurrence % k]
-    return pcs, outcomes
 
 
 def _session_id(rank: int) -> str:

@@ -50,15 +50,11 @@ def stable_shard_hash(session_id: str) -> int:
 
 
 def aggregate_hottrace(per_shard: List[Dict[str, object]]
-                       ) -> Optional[Dict[str, int]]:
-    """Sum the ``hottrace`` counter blocks of shard/worker stats
-    (None when no contributor ran a hot-trace engine)."""
-    blocks = [s["hottrace"] for s in per_shard if "hottrace" in s]
-    if not blocks:
-        return None
+                       ) -> Dict[str, int]:
+    """Sum the ``hottrace`` counter blocks of shard/worker stats."""
     out: Dict[str, int] = {}
-    for block in blocks:
-        for key, value in block.items():
+    for stats in per_shard:
+        for key, value in stats["hottrace"].items():
             out[key] = out.get(key, 0) + int(value)
     return out
 
@@ -230,9 +226,7 @@ class PredictionService:
                               "kernel_batches", "rejected", "degraded")}
         totals["max_batch"] = max((s["max_batch"] for s in per_shard),
                                   default=0)
-        hot = aggregate_hottrace(per_shard)
-        if hot is not None:
-            totals["hottrace"] = hot
+        totals["hottrace"] = aggregate_hottrace(per_shard)
         return {"config": {
                     "n_shards": self.config.n_shards,
                     "max_batch": self.config.max_batch,

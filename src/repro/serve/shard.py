@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.stats import StreamingHistogram
 from repro.fastpath.hottrace import HotTraceEngine
@@ -104,11 +104,10 @@ class Shard:
         self.kernel_batches = 0
         self.rejected = 0
         self.max_batch_seen = 0
-        #: The execution policy all runs on this shard follow; the
-        #: hot-trace engine exists only when the policy enables it.
+        #: The execution policy all runs on this shard follow.
         self.policy = config.policy
-        self.hottrace: Optional[HotTraceEngine] = (
-            HotTraceEngine(self.policy) if self.policy.hottrace else None)
+        #: Guarded memoized replay of recurring step windows.
+        self.hottrace = HotTraceEngine()
         self.hottrace_batches = 0
         #: Vectorized-eligible runs that landed on the scalar loop
         #: (satellite of docs/serving.md: capacity numbers must not be
@@ -319,10 +318,7 @@ class Shard:
         engine records one ``(session_id, guard)`` entry per abort, so
         every abort gets its own event, attributed to the session that
         actually aborted — not the session executing at drain time."""
-        engine = self.hottrace
-        if engine is None:
-            return
-        for session_id, guard in engine.drain_abort_events():
+        for session_id, guard in self.hottrace.drain_abort_events():
             if self.obs is not None:
                 self.obs.emit(EventKind.HOTTRACE_ABORT, _now_us(),
                               shard=self.index, session=session_id,
@@ -423,10 +419,9 @@ class Shard:
             apply_update(session.family, session.predictor, request.pc,
                          int(request.outcome), distance=request.distance,
                          address=request.address)
-            if self.hottrace is not None:
-                # Out-of-band mutation: break the hot-trace digest
-                # chain so stale captures can never guard-pass.
-                HotTraceEngine.note_mutation(session)
+            # Out-of-band mutation: break the hot-trace digest chain so
+            # stale captures can never guard-pass.
+            HotTraceEngine.note_mutation(session)
             result = None
         else:  # pragma: no cover - op validation happens at decode
             item.future.set_result(PredictResponse(
@@ -513,15 +508,13 @@ class Shard:
             entry.future.set_exception(exc)
 
     def stats(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        return {
             "sessions": len(self.sessions), "served": self.served,
             "batches": self.batches,
             "kernel_batches": self.kernel_batches,
             "rejected": self.rejected,
             "max_batch": self.max_batch_seen,
             "degraded": self.degraded,
-            "depth": self.queue.qsize() if self.queue else 0}
-        if self.hottrace is not None:
-            out["hottrace"] = dict(self.hottrace.counters.as_dict(),
-                                   batches=self.hottrace_batches)
-        return out
+            "depth": self.queue.qsize() if self.queue else 0,
+            "hottrace": dict(self.hottrace.counters.as_dict(),
+                             batches=self.hottrace_batches)}

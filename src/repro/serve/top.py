@@ -139,30 +139,26 @@ def render_frame(prev: Optional[Dict[str, object]],
                      + "   p99" + _fmt(batch.get("p99"), "", 8))
     # Speculation + degrade health (single-process serve.* stream or
     # the fleet.* aggregate, whichever is present).
-    prefix = None
-    for candidate in ("serve.hottrace", "fleet.hottrace"):
-        if f"{candidate}.windows" in metrics:
-            prefix = candidate
-            break
-    if prefix is not None:
-        windows_rate = _rate(prev, curr, f"{prefix}.windows")
-        hits_rate = _rate(prev, curr, f"{prefix}.hits")
-        hit_pct = (100.0 * hits_rate / windows_rate
-                   if hits_rate is not None and windows_rate else None)
-        lines.append("")
-        lines.append(
-            "  hottrace      hits" + _fmt(hits_rate, "/s", 10)
-            + "   hit%" + _fmt(hit_pct, "", 8)
-            + "   aborts" + _fmt(metrics.get(f"{prefix}.aborts"), "", 8)
-            + "   mismatch"
-            + _fmt(metrics.get(f"{prefix}.abort_mismatch"), "", 4)
-            + "   saved"
-            + _fmt(_rate(prev, curr, f"{prefix}.steps_saved"), "/s"))
+    prefix = ("serve.hottrace" if "serve.hottrace.windows" in metrics
+              else "fleet.hottrace")
+    windows_rate = _rate(prev, curr, f"{prefix}.windows")
+    hits_rate = _rate(prev, curr, f"{prefix}.hits")
+    hit_pct = (100.0 * hits_rate / windows_rate
+               if hits_rate is not None and windows_rate else None)
+    lines.append("")
+    lines.append(
+        "  hottrace      hits" + _fmt(hits_rate, "/s", 10)
+        + "   hit%" + _fmt(hit_pct, "", 8)
+        + "   aborts" + _fmt(metrics.get(f"{prefix}.aborts"), "", 8)
+        + "   mismatch"
+        + _fmt(metrics.get(f"{prefix}.abort_mismatch"), "", 4)
+        + "   saved"
+        + _fmt(_rate(prev, curr, f"{prefix}.steps_saved"), "/s"))
     degraded = metrics.get("serve.degraded",
                            metrics.get("fleet.degraded"))
     if degraded:
-        # Only shown when nonzero: a vectorized/hottrace policy that
-        # is silently running scalar should be loud, not a log line.
+        # Only shown when nonzero: a vectorized policy that is
+        # silently running scalar should be loud, not a log line.
         lines.append("")
         lines.append("  DEGRADED batches (backend fell back to scalar)"
                      + _fmt(degraded, "", 8))

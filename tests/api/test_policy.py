@@ -21,7 +21,9 @@ def test_defaults_are_the_deferred_modes():
     policy = ExecutionPolicy()
     assert policy.backend == "auto"
     assert policy.check_invariants == "auto"
-    assert policy.hottrace is False
+    # Hot-trace replay is part of every shard, not a policy choice:
+    # the policy holds exactly these two fields.
+    assert list(policy.to_json_dict()) == ["backend", "check_invariants"]
 
 
 def test_frozen():
@@ -32,17 +34,15 @@ def test_frozen():
 
 def test_replace_returns_modified_copy():
     base = ExecutionPolicy()
-    fast = base.replace(backend="vectorized", hottrace=True)
-    assert fast.backend == "vectorized" and fast.hottrace
-    assert base.backend == "auto" and not base.hottrace
+    fast = base.replace(backend="vectorized", check_invariants="on")
+    assert fast.backend == "vectorized"
+    assert fast.check_invariants == "on"
+    assert base.backend == "auto" and base.check_invariants == "auto"
 
 
 @pytest.mark.parametrize("bad", [
     {"backend": "cuda"},
     {"check_invariants": "maybe"},
-    {"hot_threshold": 0},
-    {"min_trace_len": 0},
-    {"max_traces": 0},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ValueError):
@@ -51,24 +51,31 @@ def test_validation_rejects(bad):
 
 @pytest.mark.parametrize("bad", [
     # A malformed --policy JSON must fail loudly, not misconfigure the
-    # serve tier via truthiness: "no" is NOT an enabled hottrace.
-    {"hottrace": "no"},
-    {"hottrace": "true"},
-    {"hottrace": 2},
-    {"hot_threshold": "3"},
-    {"hot_threshold": 2.5},
-    {"min_trace_len": True},
-    {"max_traces": "512"},
+    # stack via truthiness: true is NOT an armed oracle.
+    {"check_invariants": True},
+    {"check_invariants": 1},
+    {"check_invariants": None},
+    {"backend": 1},
+    {"backend": None},
+    {"backend": ["vectorized"]},
+    {"backend": "VECTORIZED"},
 ])
 def test_validation_rejects_wrong_types(bad):
     with pytest.raises(ValueError):
         ExecutionPolicy(**bad)
 
 
-def test_json_zero_one_coerce_to_bool():
-    # Hand-written JSON often spells booleans 0/1; that stays legal.
-    assert ExecutionPolicy.from_json('{"hottrace": 1}').hottrace is True
-    assert ExecutionPolicy.from_json('{"hottrace": 0}').hottrace is False
+@pytest.mark.parametrize("text", [
+    '{"hottrace": true}',
+    '{"hot_threshold": 2}',
+    '{"min_trace_len": 4}',
+    '{"max_traces": 7}',
+])
+def test_removed_hottrace_fields_are_unknown(text):
+    # Hot-trace lost its switch and knobs; a policy still carrying them
+    # must fail loudly rather than be silently ignored.
+    with pytest.raises(ValueError, match="unknown ExecutionPolicy"):
+        ExecutionPolicy.from_json(text)
 
 
 # -- JSON round trip ------------------------------------------------------
@@ -76,10 +83,8 @@ def test_json_zero_one_coerce_to_bool():
 
 @pytest.mark.parametrize("policy", [
     ExecutionPolicy(),
-    ExecutionPolicy(backend="vectorized", hottrace=True),
-    ExecutionPolicy(backend="reference", hot_threshold=1,
-                    min_trace_len=4, max_traces=7,
-                    check_invariants="on"),
+    ExecutionPolicy(backend="vectorized"),
+    ExecutionPolicy(backend="reference", check_invariants="on"),
 ])
 def test_json_round_trip(policy):
     assert ExecutionPolicy.from_json(policy.to_json()) == policy
@@ -101,8 +106,8 @@ def test_from_json_rejects_unknown_fields():
 
 
 def test_partial_json_fills_defaults():
-    policy = ExecutionPolicy.from_json('{"hottrace": true}')
-    assert policy == ExecutionPolicy(hottrace=True)
+    policy = ExecutionPolicy.from_json('{"backend": "vectorized"}')
+    assert policy == ExecutionPolicy(backend="vectorized")
 
 
 # -- pickling -------------------------------------------------------------
@@ -111,8 +116,7 @@ def test_partial_json_fills_defaults():
 def test_policy_survives_pickle():
     # The fleet ships the policy to worker subprocesses inside the
     # pickled ServeConfig frame.
-    policy = ExecutionPolicy(backend="reference", hottrace=True,
-                             hot_threshold=2)
+    policy = ExecutionPolicy(backend="reference", check_invariants="off")
     assert pickle.loads(pickle.dumps(policy)) == policy
 
 

@@ -10,6 +10,8 @@ from repro.serve.__main__ import main
     ["serve", "--policy", '{"backend": "cuda"}'],
     # --policy is the one way to pick a backend.
     ["serve", "--backend", "vectorized"],
+    # Hot-trace runs in every shard; its removed switch is unknown.
+    ["serve", "--policy", '{"hottrace": true}'],
 ])
 def test_serve_usage_error_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

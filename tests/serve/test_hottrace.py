@@ -6,8 +6,8 @@ HotTraceEngine` through the real batch executor
 outcome against a *shadow twin* — an identical session executed
 scalar-only, no speculation — so a hit is only a hit if results AND
 post-state are byte-identical to never having speculated at all.
-Service/fleet-level tests pin the wiring: policy in, counters out
-through stats, metrics and ``aggregate_hottrace``.
+Service/fleet-level tests pin the wiring: every shard speculates,
+counters come out through stats, metrics and ``aggregate_hottrace``.
 
 The negative battery (guard aborts, squashes, drift) lives next door
 in ``test_hottrace_guards.py``.
@@ -15,13 +15,21 @@ in ``test_hottrace_guards.py``.
 
 import asyncio
 import pickle
+from unittest.mock import patch
 
 from repro.api import ExecutionPolicy, spec_for
-from repro.fastpath.hottrace import HotTraceEngine, _canonical_state
+from repro.fastpath import hottrace
+from repro.fastpath.hottrace import (
+    HOT_THRESHOLD,
+    MIN_TRACE_LEN,
+    HotTraceEngine,
+)
 from repro.serve import PredictRequest, PredictionService, ServeConfig
 from repro.serve.batch import (
     VIA_HOTTRACE,
     VIA_SCALAR,
+    _canonical_state,
+    apply_update,
     execute_step_arrays_ex,
     replay_digest,
     scalar_steps,
@@ -31,25 +39,26 @@ from repro.serve.session import Session
 
 SPEC = spec_for("binary.gshare", history=4)
 
-#: Capture on the second sighting, memoize anything >= 4 steps — small
-#: thresholds so tests converge in a handful of windows.
-POLICY = ExecutionPolicy(backend="reference", hottrace=True,
-                         hot_threshold=1, min_trace_len=4)
+POLICY = ExecutionPolicy(backend="reference")
+
+#: Executions of one window before its first possible hit: the heat
+#: sightings, then the capture.
+WARM = HOT_THRESHOLD + 1
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-def window(outcome, n=8, pc=0x40):
+def window(outcome, n=MIN_TRACE_LEN, pc=0x40):
     """Fresh lane lists for one repeated-(pc, outcome) step window."""
     return [pc] * n, [outcome] * n, [-1] * n
 
 
-def execute(engine, session, lanes):
+def execute(engine, session, lanes, check=False):
     pcs, outcomes, distances = lanes
     return execute_step_arrays_ex(session, pcs, outcomes, distances,
-                                  "reference", 8, engine)
+                                  "reference", 8, engine, check)
 
 
 def state_bytes(session):
@@ -76,30 +85,31 @@ def shadow_execute(twin, lanes):
 
 
 def test_repeated_window_converges_to_hits():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = make_pair()
     vias = []
-    for _ in range(6):
+    for _ in range(WARM + 4):
         lanes = window(1)
         results, via = execute(engine, session, lanes)
         assert results == shadow_execute(twin, lanes)
         assert state_bytes(session) == state_bytes(twin)
         vias.append(via)
-    # Run 1 heats, run 2 captures, run 3+ replays from the memo: the
-    # all-taken window saturates the counters, so post == pre and
-    # every later occurrence is a fixed-point hit.
-    assert vias[0] == VIA_SCALAR and vias[1] == VIA_SCALAR
-    assert vias[2:] == [VIA_HOTTRACE] * 4
+    # The first HOT_THRESHOLD runs heat, the next captures, the rest
+    # replay from the memo: the all-taken window saturates the
+    # counters, so post == pre and every later occurrence is a
+    # fixed-point hit.
+    assert vias[:WARM] == [VIA_SCALAR] * WARM
+    assert vias[WARM:] == [VIA_HOTTRACE] * 4
     c = engine.counters
-    assert c.windows == 6 and c.captures == 1
-    assert c.hits == 4 and c.steps_saved == 4 * 8
+    assert c.windows == WARM + 4 and c.captures == 1
+    assert c.hits == 4 and c.steps_saved == 4 * MIN_TRACE_LEN
     assert c.aborts == 0 and c.abort_mismatch == 0
 
 
 def test_fixed_point_hit_skips_rehydration():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, _ = make_pair()
-    for _ in range(3):
+    for _ in range(WARM + 1):
         execute(engine, session, window(1))
     st = session.hottrace
     (trace,) = st.traces.values()
@@ -113,10 +123,10 @@ def test_fixed_point_hit_skips_rehydration():
 
 
 def test_alternating_windows_cycle_through_distinct_traces():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = make_pair()
     hits = 0
-    for round_ in range(8):
+    for round_ in range(HOT_THRESHOLD + 8):
         for outcome in (1, 0):
             lanes = window(outcome)
             results, via = execute(engine, session, lanes)
@@ -137,11 +147,11 @@ def test_alternating_windows_cycle_through_distinct_traces():
 
 
 def test_armed_oracle_shadow_checks_every_hit():
-    engine = HotTraceEngine(POLICY.replace(check_invariants="on"))
+    engine = HotTraceEngine()
     session, twin = make_pair()
-    for _ in range(5):
+    for _ in range(WARM + 2):
         lanes = window(1)
-        results, via = execute(engine, session, lanes)
+        results, via = execute(engine, session, lanes, check=True)
         assert results == shadow_execute(twin, lanes)
         assert state_bytes(session) == state_bytes(twin)
     assert engine.counters.hits >= 2
@@ -149,31 +159,35 @@ def test_armed_oracle_shadow_checks_every_hit():
 
 
 def test_short_windows_are_never_memoized():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = make_pair()
-    for _ in range(6):
-        lanes = window(1, n=POLICY.min_trace_len - 1)
+    for _ in range(WARM + 2):
+        lanes = window(1, n=MIN_TRACE_LEN - 1)
         results, via = execute(engine, session, lanes)
         assert via == VIA_SCALAR
         assert results == shadow_execute(twin, lanes)
     c = engine.counters
     assert c.windows == 0 and c.captures == 0 and c.hits == 0
     # ... but the short runs still mutated the predictor, so the
-    # digest chain must not pretend to know the state.
+    # digest chain must not pretend to know the state (short runs
+    # never even allocate recording state).
+    assert session.hottrace is None
+    execute(engine, session, window(1))
+    execute(engine, session, window(1, n=MIN_TRACE_LEN - 1))
     assert session.hottrace.state_digest is None
 
 
 def test_short_window_between_hot_ones_breaks_then_relearns():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = make_pair()
-    for _ in range(3):
+    for _ in range(WARM + 1):
         lanes = window(1)
         execute(engine, session, lanes)
         shadow_execute(twin, lanes)
     assert engine.counters.hits == 1
     # A short (unmemoizable) run invalidates the chain; correctness
     # must survive and the hot window must become hittable again.
-    lanes = window(0, n=4)
+    lanes = window(0, n=MIN_TRACE_LEN // 2)
     shadow_execute(twin, lanes)
     execute(engine, session, lanes)
     for _ in range(3):
@@ -186,46 +200,38 @@ def test_short_window_between_hot_ones_breaks_then_relearns():
 
 
 def test_lru_cap_evicts_oldest_traces():
-    engine = HotTraceEngine(POLICY.replace(max_traces=2))
+    engine = HotTraceEngine()
     session, twin = make_pair()
     # Three distinct hot windows from a rotating state: more captures
     # than the cap allows.
-    for _ in range(3):
-        for pc in (0x40, 0x44, 0x48):
-            lanes = window(1, pc=pc)
-            results, _ = execute(engine, session, lanes)
-            assert results == shadow_execute(twin, lanes)
+    with patch.object(hottrace, "MAX_TRACES", 2):
+        for _ in range(HOT_THRESHOLD + 3):
+            for pc in (0x40, 0x44, 0x48):
+                lanes = window(1, pc=pc)
+                results, _ = execute(engine, session, lanes)
+                assert results == shadow_execute(twin, lanes)
     assert len(session.hottrace.traces) <= 2
     assert engine.counters.evictions >= 1
     assert state_bytes(session) == state_bytes(twin)
 
 
-def test_window_digest_memo_retired_on_hit():
-    # The one-shot window-digest memo (keyed by lane-object identity)
-    # must not outlive its try_replay/record pair: a hit never reaches
-    # record(), so the hit path retires it — otherwise a later record()
-    # with recycled list ids could reuse a wrong cached digest.
-    engine = HotTraceEngine(POLICY)
-    session, _ = make_pair()
-    for _ in range(3):
-        _, via = execute(engine, session, window(1))
-    assert via == VIA_HOTTRACE
-    st = session.hottrace
-    assert st.wd_token is None and st.wd_cache is None
-    # invalidate() (out-of-band mutation, mid-window exception) drops
-    # an in-flight memo too: probe without the paired record(), then
-    # invalidate.
-    pcs, outcomes, distances = window(0, pc=0x44)
-    assert engine.try_replay(session, pcs, outcomes, distances) is None
-    assert st.wd_token is not None
-    HotTraceEngine.note_mutation(session)
-    assert st.wd_token is None and st.wd_cache is None
+def test_lanes_outside_int64_execute_scalar():
+    # The lane block is int64; a wider value (the wire protocol does
+    # not range-check) must neither fail the window nor enter the memo.
+    engine = HotTraceEngine()
+    session, twin = make_pair()
+    for _ in range(WARM + 1):
+        lanes = window(1, pc=2 ** 64 + 0x40)
+        results, via = execute(engine, session, lanes)
+        assert via == VIA_SCALAR
+        assert results == shadow_execute(twin, lanes)
+    assert engine.counters.windows == 0
 
 
 def test_note_mutation_invalidates_chain():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, _ = make_pair()
-    for _ in range(3):
+    for _ in range(WARM + 1):
         execute(engine, session, window(1))
     assert session.hottrace.state_digest is not None
     HotTraceEngine.note_mutation(session)
@@ -235,13 +241,13 @@ def test_note_mutation_invalidates_chain():
 
 
 def test_counters_round_trip_and_merge():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, _ = make_pair()
-    for _ in range(4):
+    for _ in range(WARM + 2):
         execute(engine, session, window(1))
     block = engine.counters.as_dict()
     assert block["hits"] == 2 and block["captures"] == 1
-    other = HotTraceEngine(POLICY)
+    other = HotTraceEngine()
     other.counters.merge(block)
     other.counters.merge(block)
     assert other.counters.hits == 4
@@ -249,10 +255,10 @@ def test_counters_round_trip_and_merge():
 
 
 def test_aggregate_hottrace_sums_blocks():
-    assert aggregate_hottrace([{"served": 1}, {"served": 2}]) is None
+    assert aggregate_hottrace([]) == {}
     total = aggregate_hottrace([
-        {"hottrace": {"hits": 2, "windows": 5}},
-        {"served": 9},
+        {"served": 4, "hottrace": {"hits": 2, "windows": 5}},
+        {"served": 9, "hottrace": {"hits": 0, "windows": 0}},
         {"hottrace": {"hits": 1, "windows": 3, "aborts": 1}},
     ])
     assert total == {"hits": 3, "windows": 8, "aborts": 1}
@@ -261,7 +267,7 @@ def test_aggregate_hottrace_sums_blocks():
 # -- service integration --------------------------------------------------
 
 
-def _replay_request(sid, seq, outcome=1, n=8):
+def _replay_request(sid, seq, outcome=1, n=MIN_TRACE_LEN):
     return PredictRequest(sid, op="replay", seq=seq, pcs=[0x40] * n,
                           outcomes=[outcome] * n, distances=None)
 
@@ -272,7 +278,7 @@ def test_service_replay_windows_hit_and_export_counters():
         async with PredictionService(config) as service:
             await service.open_session("s", SPEC)
             digests = []
-            for seq in range(6):
+            for seq in range(WARM + 3):
                 r = await service.request(_replay_request("s", seq))
                 assert r.ok
                 digests.append(r.result)
@@ -293,13 +299,18 @@ def test_service_replay_windows_hit_and_export_counters():
 
 
 def test_service_results_identical_with_hottrace_on_and_off():
-    async def drive(policy):
-        config = ServeConfig(n_shards=1, policy=policy)
+    """The speculating service ("on") answers exactly what a scalar
+    replay of the same op stream that never speculates ("off")
+    answers, across lone update ops that break the digest chain."""
+    outcomes = (1, 1, 1, 0, 1, 0, 1, 1) + (1,) * (WARM + 2)
+
+    async def served():
+        config = ServeConfig(n_shards=1, policy=POLICY)
         async with PredictionService(config) as service:
             await service.open_session("s", SPEC)
             out = []
             seq = 0
-            for outcome in (1, 1, 1, 0, 1, 0, 1, 1):
+            for outcome in outcomes:
                 r = await service.request(
                     _replay_request("s", seq, outcome=outcome))
                 assert r.ok
@@ -311,14 +322,22 @@ def test_service_results_identical_with_hottrace_on_and_off():
                     "s", op="update", pc=0x44, outcome=outcome, seq=seq))
                 assert u.ok
                 seq += 1
-            return out
+            return out, service.stats()["totals"]["hottrace"]
 
-    async def main():
-        off = await drive(ExecutionPolicy(backend="reference"))
-        on = await drive(POLICY)
-        assert on == off
+    def replayed():
+        twin = Session("off", SPEC)
+        out = []
+        for outcome in outcomes:
+            pcs, outs, distances = window(outcome)
+            out.append(replay_digest(shadow_execute(twin, (pcs, outs,
+                                                            distances))))
+            apply_update(twin.family, twin.predictor, 0x44, outcome)
+        return out
 
-    run(main())
+    on, block = run(served())
+    assert on == replayed()
+    # The all-taken tail converges, so the comparison covers hits.
+    assert block["hits"] >= 1
 
 
 def test_fleet_policy_travels_and_stats_aggregate(tmp_path):
@@ -331,7 +350,7 @@ def test_fleet_policy_travels_and_stats_aggregate(tmp_path):
                               state_dir=str(tmp_path)) as fleet:
             assert fleet.config.policy is POLICY
             await fleet.open_session("s", SPEC)
-            for seq in range(5):
+            for seq in range(WARM + 2):
                 r = await fleet.request(_replay_request("s", seq))
                 assert r.ok
             # Live counters come back over the control channel; the
@@ -348,16 +367,20 @@ def test_fleet_policy_travels_and_stats_aggregate(tmp_path):
     run(main())
 
 
-def test_service_without_hottrace_has_no_counter_block():
+def test_service_always_exports_counter_block():
+    # Every shard runs a hot-trace engine, so the counter block is in
+    # the totals and the metrics from the first request on.
     async def main():
-        config = ServeConfig(n_shards=1,
-                             policy=ExecutionPolicy(backend="reference"))
+        config = ServeConfig(n_shards=2, policy=POLICY)
         async with PredictionService(config) as service:
             await service.open_session("s", SPEC)
             r = await service.request(_replay_request("s", 0))
             assert r.ok
-            assert "hottrace" not in service.stats()["totals"]
+            block = service.stats()["totals"]["hottrace"]
+            assert block["windows"] == 1 and block["hits"] == 0
+            assert all("hottrace" in shard
+                       for shard in service.stats()["shards"])
             snap = service.metrics_registry().snapshot()
-            assert not any(k.startswith("serve.hottrace")
-                           for k in snap)
+            assert snap["serve.hottrace.windows"] == 1
+            assert snap["serve.hottrace.abort_mismatch"] == 0
     run(main())

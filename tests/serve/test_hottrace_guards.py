@@ -15,33 +15,31 @@ import pickle
 
 import pytest
 
-from repro.api import ExecutionPolicy, spec_for
-from repro.fastpath.hottrace import (
-    HotTraceEngine,
-    HotTraceViolation,
-    _canonical_state,
-)
+from repro.api import spec_for
+from repro.fastpath.hottrace import HOT_THRESHOLD, MIN_TRACE_LEN, HotTraceEngine
 from repro.serve.batch import (
     VIA_HOTTRACE,
+    ServeInvariantViolation,
+    _canonical_state,
     apply_update,
     execute_step_arrays_ex,
+    pack_lanes,
     scalar_steps,
+    unpack_lanes,
 )
 from repro.serve.session import Session
 
 SPEC = spec_for("binary.gshare", history=4)
-POLICY = ExecutionPolicy(backend="reference", hottrace=True,
-                         hot_threshold=1, min_trace_len=4)
 
 
-def window(outcome, n=8, pc=0x40):
+def window(outcome, n=MIN_TRACE_LEN, pc=0x40):
     return [pc] * n, [outcome] * n, [-1] * n
 
 
-def execute(engine, session, lanes):
+def execute(engine, session, lanes, check=False):
     pcs, outcomes, distances = lanes
     return execute_step_arrays_ex(session, pcs, outcomes, distances,
-                                  "reference", 8, engine)
+                                  "reference", 8, engine, check)
 
 
 def shadow_execute(twin, lanes):
@@ -55,11 +53,12 @@ def state_bytes(session):
         session.predictor, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def converge(engine, session, twin, lanes_fn, rounds=3):
-    """Drive the same window until the memo hits (fixed point)."""
-    for _ in range(rounds):
+def converge(engine, session, twin, lanes_fn, check=False):
+    """Drive the same window until the memo hits (fixed point): the
+    heat sightings, the capture, then one hit."""
+    for _ in range(HOT_THRESHOLD + 2):
         lanes = lanes_fn()
-        results, via = execute(engine, session, lanes)
+        results, via = execute(engine, session, lanes, check)
         assert results == shadow_execute(twin, lanes)
     assert via == VIA_HOTTRACE
     return via
@@ -93,14 +92,14 @@ def assert_aborted_cleanly(engine, session, twin, kind, lanes):
 def test_lane_mismatch_aborts_without_corruption():
     # A window-digest collision delivering *different* lanes must be
     # caught by the exact-lane guard, not answered from the memo.
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = Session("s", SPEC), Session("t", SPEC)
     converge(engine, session, twin, lambda: window(1))
     trace = hitting_trace(session)
     # Simulate the collision: the capture's lanes are not the ones the
-    # (identically digested) incoming window carries.
-    trace.lanes = (trace.lanes[0], tuple(
-        1 - o for o in trace.lanes[1]), trace.lanes[2])
+    # (identically hashed) incoming window carries.
+    pcs, outcomes, distances = unpack_lanes(trace.lanes)
+    trace.lanes = pack_lanes(pcs, [1 - o for o in outcomes], distances)
     assert_aborted_cleanly(engine, session, twin, "lanes", window(1))
     # The poisoned capture was dropped; the window re-captures and
     # hits again.
@@ -115,7 +114,7 @@ def test_lane_mismatch_aborts_without_corruption():
 
 
 def test_spec_change_aborts_without_corruption():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = Session("s", SPEC), Session("t", SPEC)
     converge(engine, session, twin, lambda: window(1))
     # A capture from "another spec's life" (session rebuilt under a
@@ -129,7 +128,7 @@ def test_mid_trace_squash_commit_abort():
     # post-state fails to materialize.  Needs a NON-fixed-point trace
     # (a fixed-point hit never rehydrates), so use the period-2
     # alternating cycle and poison one edge's post_state.
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = Session("s", SPEC), Session("t", SPEC)
     via = None
     while via != VIA_HOTTRACE:
@@ -161,7 +160,7 @@ def test_state_drift_is_a_miss_not_a_wrong_answer():
     # An out-of-band mutation between capture and the next occurrence:
     # the pre-state digest no longer matches, so the stale capture
     # must simply never be found — no hit, no corruption.
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = Session("s", SPEC), Session("t", SPEC)
     converge(engine, session, twin, lambda: window(1))
     hits_before = engine.counters.hits
@@ -204,7 +203,7 @@ def test_mid_window_exception_breaks_digest_chain():
     # occurrence of a hot window then guard-passed against the stale
     # capture and answered stale results from drifted state.  The
     # executor must break the chain on ANY mid-window exception.
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = Session("s", SPEC), Session("t", SPEC)
     converge(engine, session, twin, lambda: window(1))
     assert session.hottrace.state_digest is not None
@@ -234,7 +233,7 @@ def test_abort_events_attribute_the_aborting_session():
     # The shard drains (session_id, guard) records into obs events:
     # one per abort, attributed to the session that aborted — not the
     # session that happened to be executing at drain time.
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     pairs = [(Session("a", SPEC), Session("ta", SPEC)),
              (Session("b", SPEC), Session("tb", SPEC))]
     for session, twin in pairs:
@@ -250,7 +249,7 @@ def test_abort_events_attribute_the_aborting_session():
 
 
 def test_unpicklable_predictor_never_speculates():
-    engine = HotTraceEngine(POLICY)
+    engine = HotTraceEngine()
     session, twin = Session("s", SPEC), Session("t", SPEC)
     converge(engine, session, twin, lambda: window(1))
 
@@ -272,31 +271,30 @@ def test_unpicklable_predictor_never_speculates():
 
 
 def test_armed_oracle_raises_on_poisoned_results():
-    engine = HotTraceEngine(POLICY.replace(check_invariants="on"))
+    engine = HotTraceEngine()
     session, twin = Session("s", SPEC), Session("t", SPEC)
-    converge(engine, session, twin, lambda: window(1))
+    converge(engine, session, twin, lambda: window(1), check=True)
     state_before = state_bytes(session)
     trace = hitting_trace(session)
     poisoned = list(trace.results)
     poisoned[-1] = 1 - poisoned[-1]
     trace.results = tuple(poisoned)
-    pcs, outcomes, distances = window(1)
-    with pytest.raises(HotTraceViolation, match="diverging"):
-        engine.try_replay(session, pcs, outcomes, distances)
+    with pytest.raises(ServeInvariantViolation, match="diverging"):
+        engine.try_replay(session, pack_lanes(*window(1)), check=True)
     assert engine.counters.abort_mismatch == 1
     # The violation fired *before* the reference swap: state untouched.
     assert state_bytes(session) == state_before
 
 
 def test_armed_oracle_raises_on_poisoned_post_state():
-    engine = HotTraceEngine(POLICY.replace(check_invariants="on"))
+    engine = HotTraceEngine()
     session, twin = Session("s", SPEC), Session("t", SPEC)
     # Non-fixed-point edge so the post-state actually matters.
     via = None
     while via != VIA_HOTTRACE:
         for outcome in (1, 0):
             lanes = window(outcome)
-            _, via = execute(engine, session, lanes)
+            _, via = execute(engine, session, lanes, check=True)
             shadow_execute(twin, lanes)
     assert engine.counters.abort_mismatch == 0
     # Poison the post-state of every rehydrating edge with a *valid*
@@ -310,10 +308,10 @@ def test_armed_oracle_raises_on_poisoned_post_state():
     state_before = state_bytes(session)
     raised = 0
     for outcome in (1, 0):
-        pcs, outcomes, distances = window(outcome)
         try:
-            engine.try_replay(session, pcs, outcomes, distances)
-        except HotTraceViolation:
+            engine.try_replay(session, pack_lanes(*window(outcome)),
+                              check=True)
+        except ServeInvariantViolation:
             raised += 1
             break
     assert raised == 1

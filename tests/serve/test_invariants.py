@@ -13,6 +13,7 @@ import asyncio
 import pytest
 
 from repro.api import ExecutionPolicy, spec_for
+from repro.fastpath.hottrace import HotTraceEngine
 from repro.serve import PredictRequest, PredictionService, ServeConfig
 from repro.serve.batch import (
     VIA_KERNEL,
@@ -89,7 +90,8 @@ def test_clean_kernel_passes_under_invariants():
     session = Session("s", spec_for("hmp.local", size=64, history=2),
                       backend="vectorized")
     results, via = execute_steps_ex(session, _requests(), "vectorized",
-                                    min_kernel_run=4, check=True)
+                                    min_kernel_run=4, memo=HotTraceEngine(),
+                                    check=True)
     assert via == VIA_KERNEL
     assert len(results) == 32
 
@@ -100,7 +102,8 @@ def test_corrupted_results_raise(monkeypatch):
                       backend="vectorized")
     with pytest.raises(ServeInvariantViolation, match="index 5"):
         execute_steps_ex(session, _requests(), "vectorized",
-                         min_kernel_run=4, check=True)
+                         min_kernel_run=4, memo=HotTraceEngine(),
+                         check=True)
 
 
 def test_corrupted_state_raises(monkeypatch):
@@ -117,7 +120,8 @@ def test_corrupted_state_raises(monkeypatch):
                       backend="vectorized")
     with pytest.raises(ServeInvariantViolation, match="state"):
         execute_steps_ex(session, _requests(), "vectorized",
-                         min_kernel_run=4, check=True)
+                         min_kernel_run=4, memo=HotTraceEngine(),
+                         check=True)
 
 
 def test_divergence_surfaces_in_band_not_fatally(monkeypatch):
