@@ -90,6 +90,8 @@ class ArrayMOB:
     ``seq``/``addr``/``size`` are the immutable trace lanes; ``dr`` is
     the kernel's live data-ready lane (``UNKNOWN`` until a uop
     executes), aliased so MOB queries always see current timing.
+    Indices ascend with ``seq`` (``trace_arrays`` rejects
+    non-increasing seqs), so "older than the load" is an index compare.
     """
 
     __slots__ = ("seq", "addr", "size", "dr", "stores", "std_of",
@@ -103,7 +105,8 @@ class ArrayMOB:
         self.dr = dr
         #: STA indices, ascending (stores are inserted in rename order).
         self.stores: List[int] = []
-        #: STA index -> attached STD index.
+        #: STA index -> attached STD index, in attach order.  STDs attach
+        #: at rename, so the values ascend and the first is the oldest.
         self.std_of: Dict[int, int] = {}
         #: Smallest attached-STD seq (the only thing the prune keep-rule
         #: compares against), so :meth:`remove_retired` is O(1) until a
@@ -118,10 +121,11 @@ class ArrayMOB:
     def attach_std(self, std: int, target_seq: int) -> None:
         for s in reversed(self.stores):
             if self.seq[s] == target_seq:
+                # Re-inserted, so a re-attached STA keeps attach order.
+                self.std_of.pop(s, None)
                 self.std_of[s] = std
-                t = self.seq[std]
-                if self._min_std_seq is None or t < self._min_std_seq:
-                    self._min_std_seq = t
+                if self._min_std_seq is None:
+                    self._min_std_seq = self.seq[std]
                 return
         raise KeyError(f"no STA with seq {target_seq} in the MOB")
 
@@ -131,15 +135,29 @@ class ArrayMOB:
         ms = self._min_std_seq
         if ms is None or ms >= seq_floor:
             return  # nothing prunable — the overwhelmingly common case
-        std_of = self.std_of
-        seq = self.seq
-        keep = [s for s in self.stores
-                if s not in std_of or seq[std_of[s]] >= seq_floor]
-        for s in set(self.stores).difference(keep):
-            std_of.pop(s, None)
-        self.stores = keep
-        self._min_std_seq = (min(seq[std] for std in std_of.values())
-                             if std_of else None)
+        stores, std_of, seq = self.stores, self.std_of, self.seq
+        k = 0
+        for s in stores:  # the prunable prefix: the usual case
+            std = std_of.get(s)
+            if std is None or seq[std] >= seq_floor:
+                break
+            del std_of[s]
+            k += 1
+        del stores[:k]
+        ms = seq[next(iter(std_of.values()))] if std_of else None
+        if ms is not None and ms < seq_floor:
+            # A prunable store sits behind a kept one (an older store's
+            # STD is still in flight): filter the rest.
+            keep = []
+            for s in stores:
+                std = std_of.get(s)
+                if std is not None and seq[std] < seq_floor:
+                    del std_of[s]
+                else:
+                    keep.append(s)
+            self.stores = keep
+            ms = seq[next(iter(std_of.values()))] if std_of else None
+        self._min_std_seq = ms
 
     def __len__(self) -> int:
         return len(self.stores)
@@ -163,10 +181,9 @@ class ArrayMOB:
     # -- scheme queries -------------------------------------------------
 
     def has_unknown_sta(self, load: int, now: int) -> bool:
-        load_seq = self.seq[load]
-        seq, dr = self.seq, self.dr
+        dr = self.dr
         for s in self.stores:
-            if seq[s] >= load_seq:
+            if s > load:
                 break
             t = dr[s]
             if t == UNKNOWN or t > now:
@@ -174,18 +191,16 @@ class ArrayMOB:
         return False
 
     def all_older_complete(self, load: int, now: int) -> bool:
-        load_seq = self.seq[load]
         for s in self.stores:
-            if self.seq[s] >= load_seq:
+            if s > load:
                 break
             if not self._complete(s, now):
                 return False
         return True
 
     def all_older_stds_done(self, load: int, now: int) -> bool:
-        load_seq = self.seq[load]
         for s in self.stores:
-            if self.seq[s] >= load_seq:
+            if s > load:
                 break
             if not self._data_done(s, now):
                 return False
@@ -193,10 +208,9 @@ class ArrayMOB:
 
     def complete_beyond_distance(self, load: int, now: int,
                                  distance: int) -> bool:
-        load_seq = self.seq[load]
         d = 0
         for s in reversed(self.stores):
-            if self.seq[s] >= load_seq:
+            if s > load:
                 continue
             d += 1
             if d >= distance and not self._complete(s, now):
@@ -210,30 +224,47 @@ class ArrayMOB:
         Returns ``(sta_index, distance)`` or ``(-1, None)`` — the index
         form of the reference MOB's oracle query.
         """
-        seq, addr, size = self.seq, self.addr, self.size
-        load_seq = seq[load]
-        la, lsz = addr[load], size[load]
+        addr, size, dr, std_of = self.addr, self.size, self.dr, self.std_of
+        la = addr[load]
+        le = la + size[load]
         d = 0
         for s in reversed(self.stores):
-            if seq[s] >= load_seq:
+            if s > load:
                 continue
             d += 1
-            if (addr[s] < la + lsz and la < addr[s] + size[s]
-                    and not self._complete(s, now)):
-                return s, d
+            a = addr[s]
+            if a < le and la < a + size[s]:
+                # Incomplete: address or data not yet there.
+                t = dr[s]
+                if t == UNKNOWN or t > now:
+                    return s, d
+                std = std_of.get(s)
+                if std is None:
+                    return s, d
+                t = dr[std]
+                if t == UNKNOWN or t > now:
+                    return s, d
         return -1, None
 
     def forwarding_store(self, load: int, now: int) -> int:
         """Nearest older overlapping *completed* store, or ``-1``."""
-        seq, addr, size = self.seq, self.addr, self.size
-        load_seq = seq[load]
-        la, lsz = addr[load], size[load]
+        addr, size, dr, std_of = self.addr, self.size, self.dr, self.std_of
+        la = addr[load]
+        le = la + size[load]
         for s in reversed(self.stores):
-            if seq[s] >= load_seq:
+            if s > load:
                 continue
-            if (addr[s] < la + lsz and la < addr[s] + size[s]
-                    and self._complete(s, now)):
-                return s
+            a = addr[s]
+            if a < le and la < a + size[s]:
+                t = dr[s]
+                if t == UNKNOWN or t > now:
+                    continue
+                std = std_of.get(s)
+                if std is None:
+                    continue
+                t = dr[std]
+                if t != UNKNOWN and t <= now:
+                    return s
         return -1
 
     # -- event support --------------------------------------------------
@@ -253,15 +284,13 @@ class ArrayMOB:
         pruning only ever removes fully-complete stores, so a hint
         computed from all-known timings can never be invalidated.
         """
-        seq = self.seq
         dr = self.dr
         std_of = self.std_of
-        load_seq = seq[load]
         best = now
         if kind == 0 or kind == 2:
             # All older STA addresses known ...
             for s in self.stores:
-                if seq[s] >= load_seq:
+                if s > load:
                     break
                 t = dr[s]
                 if t == UNKNOWN:
@@ -272,7 +301,7 @@ class ArrayMOB:
             # older STDs delivered.
             if kind == 2 and predicted_colliding:
                 for s in self.stores:
-                    if seq[s] >= load_seq:
+                    if s > load:
                         break
                     std = std_of.get(s)
                     if std is None:
@@ -288,7 +317,7 @@ class ArrayMOB:
                 # distance >= d (nearest-first) must be complete.
                 d = 0
                 for s in reversed(self.stores):
-                    if seq[s] >= load_seq:
+                    if s > load:
                         continue
                     d += 1
                     if d < predicted_distance:
@@ -310,7 +339,7 @@ class ArrayMOB:
                 # Inclusive (or distance-less exclusive): every older
                 # store fully complete.
                 for s in self.stores:
-                    if seq[s] >= load_seq:
+                    if s > load:
                         break
                     t = dr[s]
                     if t == UNKNOWN:
@@ -330,7 +359,7 @@ class ArrayMOB:
             addr, size = self.addr, self.size
             la, lsz = addr[load], size[load]
             for s in self.stores:
-                if seq[s] >= load_seq:
+                if s > load:
                     break
                 if not (addr[s] < la + lsz and la < addr[s] + size[s]):
                     continue
@@ -508,6 +537,11 @@ def run_vectorized(machine, trace: Trace,
     cyc: List[int] = []      # this cycle's candidates (a heap of indices)
     amob = ArrayMOB(seq, addr, arrays.size_l, dr)
     unblock_at = amob.unblock_at
+    has_unknown_sta = amob.has_unknown_sta
+    colliding_store = amob.colliding_store
+    hload = hierarchy.load
+    predict_hit = hmp.predict_hit
+    hmp_update = hmp.observed_update
     bget = buckets.get
 
     fetch_pos = 0
@@ -516,8 +550,11 @@ def run_vectorized(machine, trace: Trace,
     trap_stall_until = 0
     stall_branch = -1
 
-    hitmiss_record = result.hitmiss.record
-    load_classes = result.load_classes
+    # Class tallies, folded into the result once at the end: hit-miss
+    # by (actual hit, predicted hit), Figure 1 by (conflicting, would
+    # collide, predicted colliding), each flag one bit of the index.
+    hm_n = [0] * 4
+    lc_n = [0] * 8
 
     while True:
         # Wake hints due this cycle become issue candidates; candidates
@@ -584,11 +621,10 @@ def run_vectorized(machine, trace: Trace,
                 result.retired_loads += 1
                 ci = conflicting[h]
                 if ci != -1:
-                    wc = would_collide[h] == 1
-                    load_classes[classify_collision(
-                        ci == 1, wc, pred_coll[h] == 1)] += 1
+                    wc = would_collide[h]
+                    lc_n[ci << 2 | wc << 1 | pred_coll[h]] += 1
                     if cht is not None:
-                        cht.observed_train(pc[h], wc, coll_dist[h])
+                        cht.observed_train(pc[h], wc == 1, coll_dist[h])
         if rob:
             fl_seq = seq[rob[0]]
         elif fetch_pos >= n:
@@ -660,20 +696,28 @@ def run_vectorized(machine, trace: Trace,
 
             uc = uclass[i]
             if uc == _LOAD:
+                # The MOB's answers for this attempt, each asked at most
+                # once: nothing between here and execute moves a store's
+                # timing (-2 = not asked yet).
+                unknown = coll = -2
                 if conflicting[i] == -1:
                     # First dispatch opportunity: record the Figure 1
                     # ground truth (identical timing to the scalar
                     # _classify_load call site).
-                    conflicting[i] = 1 if amob.has_unknown_sta(i, now) else 0
-                    s, d = amob.colliding_store(i, now)
-                    would_collide[i] = 1 if s >= 0 else 0
-                    coll_dist[i] = d
+                    unknown = conflicting[i] = (
+                        1 if has_unknown_sta(i, now) else 0)
+                    coll, coll_dist[i] = colliding_store(i, now)
+                    would_collide[i] = 1 if coll >= 0 else 0
                 if kind == 1:          # opportunistic
                     ok = True
                 elif kind == 0:        # traditional
-                    ok = not amob.has_unknown_sta(i, now)
+                    if unknown == -2:
+                        unknown = has_unknown_sta(i, now)
+                    ok = not unknown
                 elif kind == 2:        # postponing
-                    if amob.has_unknown_sta(i, now):
+                    if unknown == -2:
+                        unknown = has_unknown_sta(i, now)
+                    if unknown:
                         ok = False
                     elif pred_coll[i]:
                         ok = amob.all_older_stds_done(i, now)
@@ -691,8 +735,9 @@ def run_vectorized(machine, trace: Trace,
                         ok = amob.complete_beyond_distance(
                             i, now, pred_dist[i])
                 else:                  # perfect (oracle)
-                    s, _ = amob.colliding_store(i, now)
-                    ok = s < 0
+                    if coll == -2:
+                        coll = colliding_store(i, now)[0]
+                    ok = coll < 0
                 if not ok:
                     if observe:
                         ords.setdefault(i, now)
@@ -760,7 +805,7 @@ def run_vectorized(machine, trace: Trace,
 
             if uc == _LOAD:
                 t_addr = now + agu
-                s, _ = amob.colliding_store(i, now)
+                s = coll if coll != -2 else colliding_store(i, now)[0]
                 if s >= 0:
                     t = dr[s]
                     if t != U and t <= now:
@@ -789,9 +834,14 @@ def run_vectorized(machine, trace: Trace,
                             insort(wl[p], i)
                         result.squashed_issues += 1
                         fl = now + agu + resched
-                        floor_[i] = fl
                         if fl <= now:
-                            fl = now + 1  # zero AGU+resched: next cycle
+                            # Zero AGU+resched: the reference scan has
+                            # passed this load, so its next visit is
+                            # next cycle — the floor must say so too, or
+                            # a second hint already queued for this
+                            # cycle would re-dispatch it now.
+                            fl = now + 1
+                        floor_[i] = fl
                         b = bget(fl)
                         if b is None:
                             buckets[fl] = [i]
@@ -805,14 +855,13 @@ def run_vectorized(machine, trace: Trace,
                     if not collided[i]:
                         collided[i] = 1
                         result.collision_penalties += 1
-                    outcome = hierarchy.load(addr[i], t_addr)
+                    outcome = hload(addr[i], t_addr)
                     base = t_addr + outcome.latency
                     if predicted_hit[i] == -1:
-                        ph = hmp.predict_hit(pc[i], line_of[i], now)
-                        predicted_hit[i] = 1 if ph else 0
-                        hitmiss_record(outcome.l1_hit, ph)
-                        hmp.observed_update(pc[i], outcome.l1_hit,
-                                            line_of[i], now)
+                        ph = 1 if predict_hit(pc[i], line_of[i], now) else 0
+                        predicted_hit[i] = ph
+                        hm_n[outcome.l1_hit << 1 | ph] += 1
+                        hmp_update(pc[i], outcome.l1_hit, line_of[i], now)
                     pending[i] = 1
                     dr[i] = U
                     ann[i] = base  # dependents wake, then squash
@@ -841,10 +890,10 @@ def run_vectorized(machine, trace: Trace,
                     if collided[i]:
                         done += coll_pen
                     if predicted_hit[i] == -1:
-                        ph = hmp.predict_hit(pc[i], line_of[i], now)
-                        predicted_hit[i] = 1 if ph else 0
-                        hitmiss_record(True, ph)
-                        hmp.observed_update(pc[i], True, line_of[i], now)
+                        ph = 1 if predict_hit(pc[i], line_of[i], now) else 0
+                        predicted_hit[i] = ph
+                        hm_n[2 | ph] += 1
+                        hmp_update(pc[i], True, line_of[i], now)
                     dr[i] = ann[i] = done
                     if ords and done > now:
                         ord_n += _reopen(ords, consumers[i],
@@ -862,20 +911,21 @@ def run_vectorized(machine, trace: Trace,
                                     b.append(c)
                     continue
 
-                outcome = hierarchy.load(addr[i], t_addr)
+                outcome = hload(addr[i], t_addr)
+                l1_hit = outcome.l1_hit
                 base = t_addr + outcome.latency
                 if collided[i]:
                     base += coll_pen
-                if predicted_hit[i] == -1:
-                    ph = hmp.predict_hit(pc[i], line_of[i], now)
-                    predicted_hit[i] = 1 if ph else 0
-                    hitmiss_record(outcome.l1_hit, ph)
-                    hmp.observed_update(pc[i], outcome.l1_hit,
-                                        line_of[i], now)
+                ph = predicted_hit[i]
+                if ph == -1:
+                    ph = 1 if predict_hit(pc[i], line_of[i], now) else 0
+                    predicted_hit[i] = ph
+                    hm_n[l1_hit << 1 | ph] += 1
+                    hmp_update(pc[i], l1_hit, line_of[i], now)
                 dr[i] = base
-                if predicted_hit[i] == 1 and not outcome.l1_hit:
+                if ph == 1 and not l1_hit:
                     v = t_addr + l1_lat      # AM-PH: optimistic wakeup
-                elif predicted_hit[i] == 0 and outcome.l1_hit:
+                elif ph == 0 and l1_hit:
                     v = base + hid           # AH-PM: wait for indication
                 else:
                     v = base
@@ -1091,6 +1141,13 @@ def run_vectorized(machine, trace: Trace,
 
     result.cycles = now
     result.l1_miss_rate = hierarchy.l1_miss_rate
+    for key, count in enumerate(hm_n):
+        if count:
+            result.hitmiss.record(key >> 1 == 1, key & 1 == 1, count)
+    for key, count in enumerate(lc_n):
+        if count:
+            result.load_classes[classify_collision(
+                key >> 2 == 1, key >> 1 & 1 == 1, key & 1 == 1)] += count
     if machine.collect_occupancy:
         for key, count in enumerate(occ_n):
             if count:

@@ -64,9 +64,11 @@ class HitMissStats:
     counts: Dict[HitMissClass, int] = field(
         default_factory=lambda: {c: 0 for c in HitMissClass})
 
-    def record(self, actual_hit: bool, predicted_hit: bool) -> HitMissClass:
+    def record(self, actual_hit: bool, predicted_hit: bool,
+               count: int = 1) -> HitMissClass:
+        """Count ``count`` loads of the class (actual, predicted) names."""
         cls = HitMissClass.classify(actual_hit, predicted_hit)
-        self.counts[cls] += 1
+        self.counts[cls] += count
         return cls
 
     @property

@@ -8,16 +8,14 @@ truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.common import bits
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one cache access."""
 
     hit: bool
@@ -30,39 +28,6 @@ class AccessResult:
         return not self.hit
 
 
-class _CacheSet:
-    """One set: an LRU-ordered list of tags (front = most recent)."""
-
-    __slots__ = ("ways", "tags")
-
-    def __init__(self, ways: int) -> None:
-        self.ways = ways
-        self.tags: List[int] = []
-
-    def access(self, tag: int, allocate: bool) -> tuple:
-        """Probe for ``tag``; returns (hit, evicted_tag)."""
-        try:
-            self.tags.remove(tag)
-        except ValueError:
-            if not allocate:
-                return False, None
-            evicted = self.tags.pop() if len(self.tags) >= self.ways else None
-            self.tags.insert(0, tag)
-            return False, evicted
-        self.tags.insert(0, tag)
-        return True, None
-
-    def contains(self, tag: int) -> bool:
-        return tag in self.tags
-
-    def invalidate(self, tag: int) -> bool:
-        try:
-            self.tags.remove(tag)
-            return True
-        except ValueError:
-            return False
-
-
 class Cache:
     """A single cache level.
 
@@ -70,56 +35,87 @@ class Cache:
     policy); ``probe`` checks residence without disturbing LRU state,
     which is what an address-predictor-based hit-miss check would do
     (section 2.2).
+
+    Each set is a plain list of tags in LRU order (front = most recent);
+    the geometry is read once here, not per access.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache",
                  stats: Optional[StatGroup] = None) -> None:
         self.config = config
         self.name = name
-        self._sets: List[_CacheSet] = [
-            _CacheSet(config.ways) for _ in range(config.n_sets)
-        ]
+        self.line_bytes = config.line_bytes
+        self.n_sets = config.n_sets
+        self.ways = config.ways
+        self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
         group = stats if stats is not None else StatGroup(name)
         self.stats = group
         self._hits = group.counter("hits")
         self._misses = group.counter("misses")
         self._evictions = group.counter("evictions")
 
-    def _locate(self, address: int) -> tuple:
-        line = address // self.config.line_bytes
-        set_index = line % self.config.n_sets
-        tag = line // self.config.n_sets
-        return set_index, tag
+    def _locate(self, address: int) -> Tuple[int, int]:
+        line = address // self.line_bytes
+        return line % self.n_sets, line // self.n_sets
+
+    def _touch(self, tags: List[int], tag: int) -> Tuple[bool, Optional[int]]:
+        """The LRU update: move ``tag`` to the front of its set,
+        allocating (and evicting the LRU tag of a full set) on a miss.
+        Returns ``(hit, evicted_tag)``."""
+        if tags and tags[0] == tag:
+            self._hits.value += 1
+            return True, None
+        try:
+            tags.remove(tag)
+        except ValueError:
+            self._misses.value += 1
+            tags.insert(0, tag)
+            if len(tags) > self.ways:
+                self._evictions.value += 1
+                return False, tags.pop()
+            return False, None
+        tags.insert(0, tag)
+        self._hits.value += 1
+        return True, None
 
     def access(self, address: int) -> AccessResult:
         """Reference ``address``: probe, update LRU, allocate on miss."""
         set_index, tag = self._locate(address)
-        hit, evicted = self._sets[set_index].access(tag, allocate=True)
-        if hit:
-            self._hits.add()
-        else:
-            self._misses.add()
-            if evicted is not None:
-                self._evictions.add()
-        return AccessResult(hit=hit, set_index=set_index, tag=tag,
-                            evicted_tag=evicted)
+        hit, evicted = self._touch(self._sets[set_index], tag)
+        return AccessResult(hit, set_index, tag, evicted)
+
+    def touch(self, address: int) -> bool:
+        """:meth:`access` for callers that only need the hit bit (the
+        hierarchy's per-load path): same LRU and counter effects, no
+        result object."""
+        line = address // self.line_bytes
+        n_sets = self.n_sets
+        return self._touch(self._sets[line % n_sets], line // n_sets)[0]
 
     def probe(self, address: int) -> bool:
         """Non-destructive residence check (no LRU update, no allocate)."""
         set_index, tag = self._locate(address)
-        return self._sets[set_index].contains(tag)
+        return tag in self._sets[set_index]
+
+    def set_tags(self, set_index: int) -> Tuple[int, ...]:
+        """The tags resident in one set, most recently used first."""
+        return tuple(self._sets[set_index])
 
     def invalidate(self, address: int) -> bool:
         set_index, tag = self._locate(address)
-        return self._sets[set_index].invalidate(tag)
+        tags = self._sets[set_index]
+        if tag in tags:
+            tags.remove(tag)
+            return True
+        return False
 
     def flush(self) -> None:
-        for cache_set in self._sets:
-            cache_set.tags.clear()
+        for tags in self._sets:
+            tags.clear()
 
     def bank_of(self, address: int) -> int:
         """Line-interleaved bank index for banked organisations."""
-        return bits.extract(address // self.config.line_bytes, 0,
+        return bits.extract(address // self.line_bytes, 0,
                             bits.ilog2(self.config.n_banks)) \
             if self.config.n_banks > 1 else 0
 

@@ -8,8 +8,7 @@ in-flight lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.common.config import MemoryConfig
 from repro.common.stats import StatGroup
@@ -17,8 +16,7 @@ from repro.memory.cache import Cache
 from repro.memory.mshr import OutstandingMissQueue, ServicedLoadBuffer
 
 
-@dataclass(frozen=True)
-class LoadOutcome:
+class LoadOutcome(NamedTuple):
     """Result of sending one load down the hierarchy.
 
     Attributes
@@ -68,52 +66,50 @@ class MemoryHierarchy:
 
     def load(self, address: int, now: int = 0) -> LoadOutcome:
         """Execute a load at cycle ``now`` and return its outcome."""
-        self._loads.add()
-        self.mshr.expire(now)
-        line = address // self.config.l1d.line_bytes
+        self._loads.value += 1
+        mshr = self.mshr
+        mshr.expire(now)
+        line = address // self.l1d.line_bytes
 
-        pending = self.mshr.pending_until(line, now)
+        pending = mshr.pending_until(line, now)
         if pending is not None:
             # The line is already being fetched: a dynamic miss.  The load
             # waits for the in-flight fill rather than starting a new one.
-            self._dynamic_misses.add()
-            self._l1_misses.add()
+            self._dynamic_misses.value += 1
+            self._l1_misses.value += 1
             if self.obs is not None:
                 self.obs.emit("miss", now, pc=0, level="inflight",
                               line=line, latency=pending - now)
             # Keep L1 state consistent: the fill will install the line, so
             # model the install now (subsequent post-arrival loads hit).
-            self.l1d.access(address)
+            self.l1d.touch(address)
             return LoadOutcome(l1_hit=False, l2_hit=True,
                                latency=pending - now, line=line,
                                dynamic_miss=True)
 
-        l1 = self.l1d.access(address)
-        if l1.hit:
-            return LoadOutcome(l1_hit=True, l2_hit=True,
-                               latency=self.config.l1_latency, line=line)
+        if self.l1d.touch(address):  # the common case: built positionally
+            return LoadOutcome(True, True, self.config.l1_latency, line)
 
-        self._l1_misses.add()
-        l2 = self.l2.access(address)
-        if l2.hit:
+        self._l1_misses.value += 1
+        l2_hit = self.l2.touch(address)
+        if l2_hit:
             latency = self.config.l2_latency
         else:
-            self._l2_misses.add()
+            self._l2_misses.value += 1
             latency = self.config.memory_latency
         if self.obs is not None:
             self.obs.emit("miss", now, pc=0,
-                          level="l2" if l2.hit else "mem",
+                          level="l2" if l2_hit else "mem",
                           line=line, latency=latency)
-        self.mshr.insert(line, now + latency)
+        mshr.insert(line, now + latency)
         self.serviced.insert(line, now + latency)
-        return LoadOutcome(l1_hit=False, l2_hit=l2.hit, latency=latency,
+        return LoadOutcome(l1_hit=False, l2_hit=l2_hit, latency=latency,
                            line=line)
 
     def store(self, address: int, now: int = 0) -> None:
         """Stores install their line in both levels (write-allocate)."""
-        l1 = self.l1d.access(address)
-        if not l1.hit:
-            self.l2.access(address)
+        if not self.l1d.touch(address):
+            self.l2.touch(address)
 
     def would_hit_l1(self, address: int, now: int = 0) -> bool:
         """Non-destructive L1 residence probe (oracle/HMP verification).
@@ -122,7 +118,7 @@ class MemoryHierarchy:
         case): its data is not yet available even though the tag array
         already owns it in this model.
         """
-        line = address // self.config.l1d.line_bytes
+        line = address // self.l1d.line_bytes
         if self.mshr.pending_until(line, now) is not None:
             return False
         return self.l1d.probe(address)

@@ -17,15 +17,27 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
+#: ``next_ready`` of an empty queue: later than any cycle.
+_NEVER = float("inf")
+
 
 class OutstandingMissQueue:
-    """Lines currently being fetched, each with its arrival cycle."""
+    """Lines currently being fetched, each with its arrival cycle.
+
+    ``next_ready`` is a lower bound on the earliest arrival in the
+    queue, so :meth:`expire` — called on every load — skips its scan
+    while nothing can have arrived.
+    """
 
     def __init__(self, n_entries: int = 8) -> None:
         if n_entries < 1:
             raise ValueError("MSHR needs at least one entry")
         self.n_entries = n_entries
         self._pending: "OrderedDict[int, int]" = OrderedDict()
+        self.next_ready = _NEVER
+
+    def _rebound(self) -> None:
+        self.next_ready = min(self._pending.values(), default=_NEVER)
 
     def insert(self, line: int, ready_cycle: int) -> None:
         """Record that ``line`` will arrive at ``ready_cycle``.
@@ -34,19 +46,24 @@ class OutstandingMissQueue:
         arrival); a full queue drops its oldest entry — the model's
         equivalent of stalling the miss pipeline.
         """
-        if line in self._pending:
-            self._pending[line] = min(self._pending[line], ready_cycle)
-            return
-        while len(self._pending) >= self.n_entries:
-            self._pending.popitem(last=False)
-        self._pending[line] = ready_cycle
+        pending = self._pending
+        if line in pending:
+            pending[line] = min(pending[line], ready_cycle)
+        else:
+            while len(pending) >= self.n_entries:
+                pending.popitem(last=False)
+            pending[line] = ready_cycle
+        self._rebound()
 
     def expire(self, now: int) -> None:
         """Drop entries whose lines have arrived by cycle ``now``."""
-        arrived = [line for line, ready in self._pending.items()
-                   if ready <= now]
+        if now < self.next_ready:
+            return  # nothing due yet
+        pending = self._pending
+        arrived = [line for line, ready in pending.items() if ready <= now]
         for line in arrived:
-            del self._pending[line]
+            del pending[line]
+        self._rebound()
 
     def pending_until(self, line: int, now: int) -> Optional[int]:
         """Arrival cycle of ``line`` if still in flight at ``now``."""
@@ -63,6 +80,7 @@ class OutstandingMissQueue:
 
     def clear(self) -> None:
         self._pending.clear()
+        self.next_ready = _NEVER
 
 
 class ServicedLoadBuffer:

@@ -429,8 +429,7 @@ class LatencyFaultHierarchy:
     def load(self, address: int, now: int = 0):
         outcome = self._inner.load(address, now)
         self.injected += 1
-        return dataclasses.replace(outcome,
-                                   latency=outcome.latency + self.extra)
+        return outcome._replace(latency=outcome.latency + self.extra)
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)

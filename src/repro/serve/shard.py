@@ -108,7 +108,6 @@ class Shard:
         self.policy = config.policy
         #: Guarded memoized replay of recurring step windows.
         self.hottrace = HotTraceEngine()
-        self.hottrace_batches = 0
         #: Vectorized-eligible runs that landed on the scalar loop
         #: (satellite of docs/serving.md: capacity numbers must not be
         #: quietly off).  The obs event fires once per (session,
@@ -385,8 +384,6 @@ class Shard:
         used_kernel = via == VIA_KERNEL
         if via == VIA_SCALAR:
             self._note_degrade(session, len(run), backend)
-        elif via == VIA_HOTTRACE:
-            self.hottrace_batches += 1
         self._note_hottrace()
         stage = ("kernel" if used_kernel
                  else "hottrace" if via == VIA_HOTTRACE else "predict")
@@ -450,8 +447,6 @@ class Shard:
         used_kernel = via == VIA_KERNEL
         if via == VIA_SCALAR:
             self._note_degrade(session, n_steps, backend)
-        elif via == VIA_HOTTRACE:
-            self.hottrace_batches += 1
         self._note_hottrace()
         if item.span is not None:
             item.span.mark("kernel" if used_kernel
@@ -516,5 +511,4 @@ class Shard:
             "max_batch": self.max_batch_seen,
             "degraded": self.degraded,
             "depth": self.queue.qsize() if self.queue else 0,
-            "hottrace": dict(self.hottrace.counters.as_dict(),
-                             batches=self.hottrace_batches)}
+            "hottrace": self.hottrace.counters.as_dict()}

@@ -161,6 +161,55 @@ class TestBitIdentityMatrix:
         assert ref.to_dict() == vec.to_dict()
 
 
+def zero_latency_config(agu, resched, forward=None):
+    """The baseline machine with AGU and/or reschedule delay at zero:
+    a store's address and data become visible to younger loads in the
+    same issue scan that executes it, and a re-dispatched load's floor
+    falls on its own cycle."""
+    import dataclasses
+    cfg = BASELINE_MACHINE
+    return dataclasses.replace(cfg, latency=dataclasses.replace(
+        cfg.latency, agu_latency=agu, reschedule_delay=resched,
+        forward_latency=forward))
+
+
+@needs_numpy
+class TestSameCycleStoreEffects:
+    """Zero AGU and reschedule latencies: the regime where same-cycle
+    store effects decide the scan order, and where a load's collision
+    answer, taken once per issue attempt, must still match the
+    reference's."""
+
+    @pytest.mark.parametrize("latencies", ((0, 0), (0, 6), (3, 0)))
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize("trace_name", ("cd", "li"))
+    def test_scheme_matrix(self, latencies, scheme, trace_name):
+        cfg = zero_latency_config(*latencies)
+        ref, vec = run_both(
+            lambda: Machine(config=cfg, scheme=make_scheme(scheme)),
+            get_trace(trace_name, 3000))
+        assert ref.to_dict() == vec.to_dict()
+
+    def test_smallest_divergent_case(self):
+        # A load re-dispatched by a visible collision must not issue a
+        # second time in the cycle that refused it.
+        cfg = zero_latency_config(0, 0)
+        ref, vec = run_both(
+            lambda: Machine(config=cfg, scheme=make_scheme("postponing")),
+            get_trace("li", 50))
+        assert ref.collision_penalties == 2
+        assert ref.to_dict() == vec.to_dict()
+
+    @pytest.mark.parametrize("scheme", ("opportunistic", "exclusive",
+                                        "perfect"))
+    def test_observed_with_forwarding(self, scheme):
+        cfg = zero_latency_config(0, 0, forward=2)
+        assert_observed_identical(
+            lambda: observed(Machine(config=cfg,
+                                     scheme=make_scheme(scheme))),
+            get_trace("li", 2000))
+
+
 @needs_numpy
 class TestObservedRuns:
     """Occupancy and stall-breakdown collection run on the kernel and

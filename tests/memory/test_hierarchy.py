@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.config import CacheConfig, MemoryConfig
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import LoadOutcome, MemoryHierarchy
 
 
 def tiny_hierarchy(**overrides):
@@ -84,6 +84,24 @@ class TestProbe:
     def test_would_miss_cold(self):
         h = tiny_hierarchy()
         assert not h.would_hit_l1(0x9999, now=0)
+
+
+class TestLoadOutcome:
+    def test_keyword_construction_and_defaults(self):
+        out = LoadOutcome(l1_hit=False, l2_hit=True, latency=12, line=7)
+        assert out == LoadOutcome(False, True, 12, 7, False)
+        assert out.miss and not out.dynamic_miss
+        assert (out.l1_hit, out.l2_hit, out.latency, out.line) \
+            == (False, True, 12, 7)
+
+    def test_replace_changes_one_field(self):
+        out = tiny_hierarchy().load(0x1000, now=0)
+        slower = out._replace(latency=out.latency + 3)
+        assert slower.latency == 83
+        assert slower._replace(latency=80) == out
+        assert (slower.l1_hit, slower.l2_hit, slower.line,
+                slower.dynamic_miss) == (out.l1_hit, out.l2_hit, out.line,
+                                         out.dynamic_miss)
 
 
 class TestReset:

@@ -39,8 +39,8 @@ class TestCacheProperties:
         cache = make_cache(ways=2, sets=8)
         for a in addrs:
             cache.access(a)
-        for cache_set in cache._sets:
-            assert len(cache_set.tags) <= 2
+        for set_index in range(cache.n_sets):
+            assert len(cache.set_tags(set_index)) <= 2
 
     @given(address_lists)
     @settings(max_examples=50, deadline=None)

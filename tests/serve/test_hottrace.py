@@ -291,7 +291,6 @@ def test_service_replay_windows_hit_and_export_counters():
             block = totals["hottrace"]
             assert block["hits"] >= 3
             assert block["abort_mismatch"] == 0
-            assert block["batches"] >= block["hits"]
             snap = service.metrics_registry().snapshot()
             assert snap["serve.hottrace.hits"] == block["hits"]
             assert snap["serve.hottrace.abort_mismatch"] == 0
