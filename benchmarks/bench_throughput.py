@@ -160,11 +160,13 @@ def measure_engine_backends(trace, schemes, repeats: int) -> Dict[str, object]:
 
 def measure_obs_overhead(trace, scheme: str, repeats: int,
                          jsonl_path: str) -> Dict[str, object]:
-    """Compare obs-disabled vs JSONL-sink-enabled wall-clock, and the
-    vectorized kernel with vs without occupancy and stall-breakdown
-    collection (which stay on the kernel)."""
+    """Compare obs-disabled vs JSONL-sink-enabled wall-clock on the
+    scalar loop (an event bus keeps a run there), and the vectorized
+    kernel with vs without occupancy and stall-breakdown collection
+    (which stay on the kernel)."""
+    reference = ExecutionPolicy(backend="reference")
     baseline = _best_run(lambda: Machine(scheme=make_scheme(scheme)),
-                         trace, repeats)
+                         trace, repeats, policy=reference)
 
     def make_observed() -> Machine:
         machine = Machine(scheme=make_scheme(scheme))
@@ -172,7 +174,7 @@ def measure_obs_overhead(trace, scheme: str, repeats: int,
         bus.attach(JsonlSink(jsonl_path))
         return machine
 
-    observed = _best_run(make_observed, trace, repeats)
+    observed = _best_run(make_observed, trace, repeats, policy=reference)
     overhead = (observed["wall_seconds"] / baseline["wall_seconds"]) - 1.0
     print(f"  observability: disabled "
           f"{baseline['uops_per_sec']:,.0f} uops/sec, jsonl "
@@ -317,19 +319,21 @@ def measure_fastpath(n_events: int, repeats: int) -> Dict[str, object]:
     def cht_sweep(backend: str) -> None:
         shared = EventArrayCache(cht_events)
         for size in tagless_sizes:
-            cht_replay(cht_events,
-                       TaglessCHT(n_entries=size, backend=backend),
-                       arrays=shared)
+            cht_replay(cht_events, TaglessCHT(n_entries=size),
+                       arrays=shared,
+                       policy=ExecutionPolicy(backend=backend))
 
     sweeps = {
         "cht_tagless_sizes": (cht_sweep, n_events * len(tagless_sizes)),
         "hmp_local_2k": (lambda backend: hm_replay(
-            hm_events, LocalHMP(n_entries=2048, history_bits=8,
-                                backend=backend)), n_events),
+            hm_events, LocalHMP(n_entries=2048, history_bits=8),
+            policy=ExecutionPolicy(backend=backend)), n_events),
         "hmp_hybrid": (lambda backend: hm_replay(
-            hm_events, HybridHMP(backend=backend)), n_events),
+            hm_events, HybridHMP(),
+            policy=ExecutionPolicy(backend=backend)), n_events),
         "bank_predictor_a": (lambda backend: evaluate(
-            make_predictor_a(backend=backend), bank_stream), n_events),
+            make_predictor_a(), bank_stream,
+            policy=ExecutionPolicy(backend=backend)), n_events),
     }
     n_window_steps = WINDOW_COUNT * WINDOW_STEPS
     w_pcs, w_hits = synthesize_outcome_grid(4, n_window_steps)

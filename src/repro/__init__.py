@@ -71,12 +71,6 @@ from repro.bank import (
     make_predictor_c,
     metric,
 )
-from repro.fastpath import (
-    default_backend,
-    set_default_backend,
-    use_backend,
-)
-
 __version__ = "1.0.0"
 
 from repro.api import (  # noqa: E402 - needs __version__ for cache keys
@@ -123,8 +117,5 @@ __all__ = [
     "make_predictor_b",
     "make_predictor_c",
     "metric",
-    "default_backend",
-    "set_default_backend",
-    "use_backend",
     "__version__",
 ]

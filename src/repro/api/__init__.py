@@ -5,14 +5,14 @@ The one construction path every consumer shares::
     from repro.api import spec_for, build_predictor
 
     spec = spec_for("hmp.hybrid", gshare_history=11, gskew_history=20)
-    hmp = build_predictor(spec, backend="vectorized")
+    hmp = build_predictor(spec)
     assert hmp.spec == spec                      # round-trips
     again = spec.from_json(spec.to_json())       # JSON-stable
     key = spec.cache_key()                       # SHA-256, version-scoped
 
 * :mod:`repro.api.spec` — :class:`PredictorSpec` and the registry core;
 * :mod:`repro.api.policy` — :class:`ExecutionPolicy`, the frozen
-  backend / hot-trace / invariant-mode bundle accepted by
+  backend / invariant-mode bundle accepted by
   ``Machine.run``, the serve tier and the bench CLIs;
 * :mod:`repro.api.registry` — the kind catalogue (importing this
   package registers every kind);

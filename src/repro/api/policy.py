@@ -1,26 +1,27 @@
 """ExecutionPolicy: one value object for "how should this run".
 
 Two execution backends coexist — the scalar reference loops and the
-vectorized numpy kernels — and before this module the choice
-was scattered across ``backend=`` strings, the ``REPRO_BACKEND``
-environment variable and the ``REPRO_CHECK_INVARIANTS`` oracle switch.
-:class:`ExecutionPolicy` bundles the whole decision into a frozen,
-JSON-round-trippable, picklable object accepted end-to-end::
+vectorized numpy kernels — and this is the one place that picks
+between them.  :class:`ExecutionPolicy` bundles the backend and the
+invariant-oracle switch into a frozen, JSON-round-trippable, picklable
+object accepted end-to-end::
 
     from repro.api import ExecutionPolicy
 
-    policy = ExecutionPolicy(backend="vectorized")
+    policy = ExecutionPolicy(backend="reference")      # the scalar oracle
     machine.run(trace, policy=policy)                  # engine
+    cht_accuracy.replay(events, cht, policy=policy)    # replay harnesses
     ServeConfig(policy=policy)                         # serve tier
     python -m repro.serve bench --policy '{"backend": "auto"}'
 
-The environment variables stay authoritative for the *deferred*
-modes only, and are read in exactly one place each: ``backend="auto"``
-resolves through :func:`repro.fastpath.backend.resolve_backend`
-(``set_default_backend()`` / ``REPRO_BACKEND`` / ``"reference"``) and
+Predictor objects carry no backend of their own.  The environment
+variables stay authoritative for the *deferred* modes only, and are
+read in exactly one place each: ``backend="auto"`` resolves through
+:func:`repro.fastpath.backend.resolve_backend` (policy →
+``REPRO_BACKEND`` → ``"vectorized"`` when numpy is importable) and
 ``check_invariants="auto"`` consults ``REPRO_CHECK_INVARIANTS`` in
 :meth:`ExecutionPolicy.invariants_active`.  A default-constructed
-policy therefore follows the process-wide defaults.
+policy therefore runs the kernels wherever numpy is importable.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict
 
-#: Accepted ``backend`` values.  ``"auto"`` defers to the process-wide
-#: default of :mod:`repro.fastpath.backend` at use time.
+#: Accepted ``backend`` values.  ``"auto"`` defers to ``REPRO_BACKEND``
+#: and then to ``"vectorized"`` at use time.
 POLICY_BACKENDS = ("reference", "vectorized", "auto")
 
 #: Accepted ``check_invariants`` modes.  ``"auto"`` defers to the
@@ -46,10 +47,10 @@ class ExecutionPolicy:
     ----------
     backend:
         ``"reference"`` | ``"vectorized"`` | ``"auto"``.  ``"auto"``
-        resolves through the process default (``set_default_backend``
-        / ``REPRO_BACKEND`` / ``"reference"``); an explicit
-        ``"vectorized"`` still degrades to reference when numpy is
+        resolves through ``REPRO_BACKEND`` and then ``"vectorized"``;
+        a vectorized choice still degrades to reference when numpy is
         missing (the fast path is an accelerator, not a capability).
+        ``"reference"`` is the scalar oracle, an explicit opt-in.
     check_invariants:
         ``"on"`` arms the shadow oracles unconditionally, ``"off"``
         disarms them, ``"auto"`` defers to ``REPRO_CHECK_INVARIANTS``.
@@ -76,8 +77,7 @@ class ExecutionPolicy:
         """The concrete backend name ("reference"/"vectorized") this
         policy selects *right now* (env + numpy availability applied)."""
         from repro.fastpath.backend import resolve_backend
-        return resolve_backend(
-            None if self.backend == "auto" else self.backend)
+        return resolve_backend(self.backend)
 
     def invariants_active(self) -> bool:
         """Whether the shadow oracles are armed under this policy."""

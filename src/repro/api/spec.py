@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 #: Parameter values are restricted to JSON scalars so that every spec
 #: is trivially serialisable and hashable.
@@ -180,9 +180,9 @@ class PredictorSpec:
 
     # -- construction -------------------------------------------------------
 
-    def build(self, backend: Optional[str] = None) -> object:
+    def build(self) -> object:
         """Shorthand for :func:`build_predictor`."""
-        return build_predictor(self, backend=backend)
+        return build_predictor(self)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params)
@@ -208,22 +208,18 @@ def spec_for(kind: str, **params: ParamValue) -> PredictorSpec:
     return PredictorSpec(kind=kind, params=tuple(sorted(merged.items())))
 
 
-def build_predictor(spec: PredictorSpec,
-                    backend: Optional[str] = None) -> object:
+def build_predictor(spec: PredictorSpec) -> object:
     """Instantiate the predictor a spec describes.
 
-    ``backend`` is forwarded to constructors that accept the
-    ``reference``/``vectorized`` fast-path switch
-    (:mod:`repro.fastpath.backend`); ``None`` defers to the process
-    default.  The built object is stamped with ``predictor.spec`` so it
-    can be re-serialised (the round-trip contract pinned by
+    The built object is stamped with ``predictor.spec`` so it can be
+    re-serialised (the round-trip contract pinned by
     ``tests/api/test_spec.py``).
     """
     info = kind_info(spec.kind)
     # Re-normalise, so hand-rolled PredictorSpec instances with missing
     # defaults still build the same object as spec_for would describe.
     normalised = spec_for(spec.kind, **spec.params_dict)
-    predictor = info.builder(normalised.params_dict, backend)
+    predictor = info.builder(normalised.params_dict)
     try:
         predictor.spec = normalised
     except AttributeError:  # pragma: no cover - __slots__ classes

@@ -47,14 +47,11 @@ class HistoryBankPredictor(BankPredictor):
 
     def __init__(self, components: Sequence[BinaryPredictor],
                  weights: Optional[Sequence[float]] = None,
-                 abstain_threshold: float = 0.0,
-                 backend: Optional[str] = None) -> None:
+                 abstain_threshold: float = 0.0) -> None:
         self._chooser = WeightedChooser(components, weights,
                                         threshold=0.0,
-                                        confidence_scaled=True,
-                                        backend=backend)
+                                        confidence_scaled=True)
         self.abstain_threshold = abstain_threshold
-        self.backend = self._chooser.backend
 
     def predict(self, pc: int) -> BankPrediction:
         p = self._chooser.predict(pc)
@@ -77,38 +74,33 @@ class HistoryBankPredictor(BankPredictor):
         return self._chooser.storage_bits
 
 
-def _local(backend: Optional[str] = None) -> LocalPredictor:
-    return LocalPredictor(n_entries=512, history_bits=8, backend=backend)
+def _local() -> LocalPredictor:
+    return LocalPredictor(n_entries=512, history_bits=8)
 
 
-def _gshare(backend: Optional[str] = None) -> GSharePredictor:
-    return GSharePredictor(history_bits=11, backend=backend)
+def _gshare() -> GSharePredictor:
+    return GSharePredictor(history_bits=11)
 
 
-def _gskew(backend: Optional[str] = None) -> GSkewPredictor:
-    return GSkewPredictor(history_bits=17, bank_entries=1024,
-                          backend=backend)
+def _gskew() -> GSkewPredictor:
+    return GSkewPredictor(history_bits=17, bank_entries=1024)
 
 
-def make_predictor_a(abstain_threshold: float = 0.9,
-                     backend: Optional[str] = None) -> HistoryBankPredictor:
+def make_predictor_a(abstain_threshold: float = 0.9) -> HistoryBankPredictor:
     """Predictor A = local + gshare + gskew (equal weights)."""
     return HistoryBankPredictor(
-        [_local(backend), _gshare(backend), _gskew(backend)],
-        abstain_threshold=abstain_threshold, backend=backend)
+        [_local(), _gshare(), _gskew()],
+        abstain_threshold=abstain_threshold)
 
 
-def make_predictor_b(abstain_threshold: float = 0.6,
-                     backend: Optional[str] = None) -> HistoryBankPredictor:
+def make_predictor_b(abstain_threshold: float = 0.6) -> HistoryBankPredictor:
     """Predictor B = local + gshare + bimodal (equal weights)."""
     return HistoryBankPredictor(
-        [_local(backend), _gshare(backend),
-         BimodalPredictor(n_entries=1024, backend=backend)],
-        abstain_threshold=abstain_threshold, backend=backend)
+        [_local(), _gshare(), BimodalPredictor(n_entries=1024)],
+        abstain_threshold=abstain_threshold)
 
 
-def make_predictor_c(abstain_threshold: float = 0.65,
-                     backend: Optional[str] = None) -> HistoryBankPredictor:
+def make_predictor_c(abstain_threshold: float = 0.65) -> HistoryBankPredictor:
     """Predictor C = local + 2*gshare + gskew (gshare double weight).
 
     The heavier gshare weight plus a lower abstain threshold gives C the
@@ -116,6 +108,6 @@ def make_predictor_c(abstain_threshold: float = 0.65,
     comparable to A.
     """
     return HistoryBankPredictor(
-        [_local(backend), _gshare(backend), _gskew(backend)],
+        [_local(), _gshare(), _gskew()],
         weights=[1.0, 2.0, 1.0],
-        abstain_threshold=abstain_threshold, backend=backend)
+        abstain_threshold=abstain_threshold)

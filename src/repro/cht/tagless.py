@@ -15,22 +15,15 @@ from repro.cht.base import (
     CollisionPredictor,
     NOT_COLLIDING,
 )
-from repro.fastpath.backend import resolve_backend
 from repro.predictors.counters import CounterTable
 
 
 class TaglessCHT(CollisionPredictor):
-    """Direct-mapped counter array with optional distance sidecar.
-
-    ``backend`` selects the replay fast path (``repro.fastpath``); the
-    scalar ``lookup``/``train`` API is identical on both backends.
-    """
+    """Direct-mapped counter array with optional distance sidecar."""
 
     def __init__(self, n_entries: int = 4096, counter_bits: int = 1,
-                 track_distance: bool = False,
-                 backend: str | None = None) -> None:
+                 track_distance: bool = False) -> None:
         bits.ilog2(n_entries)
-        self.backend = resolve_backend(backend)
         self.n_entries = n_entries
         self.counter_bits = counter_bits
         self.track_distance = track_distance

@@ -136,10 +136,10 @@ class Machine:
 
         ``policy`` — a :class:`repro.api.ExecutionPolicy` — selects the
         engine implementation; its default (``backend="auto"``)
-        resolves through the process-wide
-        :mod:`repro.fastpath.backend` chain (``set_default_backend()``
-        → ``REPRO_BACKEND`` → ``"reference"``): ``"reference"`` is the
-        scalar cycle loop below; ``"vectorized"`` replays the same
+        resolves through the :mod:`repro.fastpath.backend` chain
+        (policy → ``REPRO_BACKEND`` → ``"vectorized"`` when numpy is
+        importable): ``"reference"`` is the scalar cycle loop below,
+        an explicit opt-in; ``"vectorized"`` replays the same
         machine through the event-driven array kernel
         (:mod:`repro.engine.vector`) with bit-identical results,
         falling back to the reference path when numpy is absent or the

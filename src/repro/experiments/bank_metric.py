@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.api import PredictorSpec, build_predictor, spec_for
+from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, spec_for
 from repro.bank.base import BankPredictor, BankStats
 from repro.bank.metric import metric
 from repro.experiments.harness import (
@@ -51,16 +51,17 @@ def _load_stream(name: str, n_uops: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def evaluate(predictor: BankPredictor,
-             stream: Sequence[Tuple[int, int]]) -> BankStats:
+             stream: Sequence[Tuple[int, int]],
+             policy: ExecutionPolicy | None = None) -> BankStats:
     """Replay the loads through ``predictor`` (predict → train).
 
-    A predictor constructed with ``backend="vectorized"`` replays
-    through the batch kernels of :mod:`repro.fastpath` — by contract
-    bit-identical to the scalar loop below (pinned by
-    ``tests/fastpath/``).
+    When ``policy`` (default: ``ExecutionPolicy()``) resolves to the
+    vectorized backend, a predictor with a kernel replays through the
+    batch kernels of :mod:`repro.fastpath` — by contract bit-identical
+    to the scalar loop below (pinned by ``tests/fastpath/``).
     """
-    import repro.fastpath as fastpath
-    if fastpath.enabled(predictor):
+    policy = policy or ExecutionPolicy()
+    if policy.resolved_backend() == "vectorized":
         from repro.fastpath import bank as fp_bank
         if fp_bank.supports(predictor):
             pcs, banks = fp_bank.stream_arrays(stream, LINE_BYTES, N_BANKS)

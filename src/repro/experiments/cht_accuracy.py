@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.api import PredictorSpec, build_predictor, spec_for
+from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, spec_for
 from repro.cht.base import CollisionPredictor
 from repro.cht.tagless import TaglessCHT
 from repro.engine.machine import Machine
@@ -147,7 +147,8 @@ class EventArrayCache:
 
 def replay(events: Sequence[LoadEvent], cht: CollisionPredictor,
            warm: bool = False,
-           arrays: EventArrayCache = None) -> ChtAccuracy:
+           arrays: EventArrayCache = None,
+           policy: ExecutionPolicy | None = None) -> ChtAccuracy:
     """Replay a ground-truth stream through one CHT (predict → train).
 
     With ``warm=True`` the stream is replayed twice and only the second
@@ -155,14 +156,16 @@ def replay(events: Sequence[LoadEvent], cht: CollisionPredictor,
     load's first (unavoidable) mispredictions to nothing, and the warm
     pass emulates that steady state on reduced traces.
 
-    A CHT constructed with ``backend="vectorized"`` replays through the
-    batch kernels of :mod:`repro.fastpath` — by contract bit-identical
-    to the scalar loop below (pinned by ``tests/fastpath/``).  Callers
+    When ``policy`` (default: ``ExecutionPolicy()``) resolves to the
+    vectorized backend, a :class:`TaglessCHT` replays through the batch
+    kernels of :mod:`repro.fastpath` — by contract bit-identical to the
+    scalar loop below (pinned by ``tests/fastpath/``).  Callers
     replaying one stream through several CHTs can pass a shared
     :class:`EventArrayCache` built over the same ``events``.
     """
-    import repro.fastpath as fastpath
-    if fastpath.enabled(cht) and type(cht) is TaglessCHT:
+    policy = policy or ExecutionPolicy()
+    if (policy.resolved_backend() == "vectorized"
+            and type(cht) is TaglessCHT):
         return _replay_vectorized(events, cht, warm, arrays)
     if warm:
         for event in events:

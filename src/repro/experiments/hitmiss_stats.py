@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.api import PredictorSpec, build_predictor, spec_for
+from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, spec_for
 from repro.engine.machine import Machine
 from repro.experiments.harness import (
     DEFAULT_SETTINGS,
@@ -71,20 +71,21 @@ def hitmiss_events(names: Sequence[str],
 
 
 def replay(events: Sequence[HitMissEvent], hmp: HitMissPredictor,
-           warm: bool = False) -> HitMissStats:
+           warm: bool = False,
+           policy: ExecutionPolicy | None = None) -> HitMissStats:
     """Replay an outcome stream through a predictor (predict → train).
 
     ``warm=True`` trains on one full pass first and measures the
     second, emulating the steady state the paper's 30M-instruction
     traces reach (cold-start mispredictions amortised away).
 
-    A predictor constructed with ``backend="vectorized"`` replays
-    through the batch kernels of :mod:`repro.fastpath` — by contract
-    bit-identical to the scalar loop below (pinned by
-    ``tests/fastpath/``).
+    When ``policy`` (default: ``ExecutionPolicy()``) resolves to the
+    vectorized backend, a predictor with a kernel replays through the
+    batch kernels of :mod:`repro.fastpath` — by contract bit-identical
+    to the scalar loop below (pinned by ``tests/fastpath/``).
     """
-    import repro.fastpath as fastpath
-    if fastpath.enabled(hmp):
+    policy = policy or ExecutionPolicy()
+    if policy.resolved_backend() == "vectorized":
         from repro.fastpath import hitmiss as fp_hitmiss
         if fp_hitmiss.supports(hmp):
             return _replay_vectorized(events, hmp, warm)

@@ -1,13 +1,20 @@
 """Numpy-vectorized batch fast path for the replay harnesses.
 
-The figure harnesses spend almost all their post-PR-2 time in scalar
+The figure harnesses spend almost all their time in scalar
 predict→train loops over pre-recorded event streams.  This package
 provides exact batch kernels for those loops — the tagless CHT, the
-local/gshare/gskew/bimodal predictor families and their choosers, the
-hit-miss and bank predictor adapters, and rng-free address-stream
-materialization — selected per object through the
-``backend="reference"|"vectorized"`` constructor switch
-(:mod:`repro.fastpath.backend`).
+local/gshare/gskew/bimodal predictor families and their choosers, and
+the hit-miss and bank predictor adapters.
+
+Which path runs is decided by the run's
+:class:`repro.api.ExecutionPolicy`, never by the predictor object:
+``policy.resolved_backend()`` resolves through :func:`resolve_backend`
+(the policy's own field, then ``REPRO_BACKEND``, then ``"vectorized"``
+when numpy is importable), and each replay harness
+(``cht_accuracy.replay``, ``hitmiss_stats.replay``,
+``bank_metric.evaluate``) takes the kernel when that reads
+``"vectorized"`` and the kernel module's ``supports()`` accepts the
+object.
 
 Exactness is a hard contract, not an aspiration: every kernel must
 produce bit-identical prediction streams, counter/table state, and
@@ -17,13 +24,12 @@ numpy is optional — without it the vectorized backend silently resolves
 to the reference implementation.
 
 Kernel submodules (``predictors``, ``cht``, ``hitmiss``, ``bank``,
-``tracegen``, ``indices``, ``scan``, ``uoparrays``) import numpy and
-must only be imported behind a :data:`HAS_NUMPY` check — exactly what
-:func:`enabled` is for.
+``batchapi``, ``indices``, ``scan``, ``uoparrays``) import numpy and
+must only be imported once the policy has resolved to
+``"vectorized"`` (which implies :data:`HAS_NUMPY`).
 
-The same backend switch also selects the whole-machine replay kernel:
-``Machine.run(trace, policy=ExecutionPolicy(backend=...))`` resolves
-through :func:`resolve_backend` and routes supported runs to the
+The same policy also selects the whole-machine replay kernel:
+``Machine.run(trace, policy=...)`` routes supported runs to the
 event-driven array engine of :mod:`repro.engine.vector` built over the
 :mod:`repro.fastpath.uoparrays` uop lanes (see ``docs/engine.md``).
 """
@@ -31,25 +37,11 @@ event-driven array engine of :mod:`repro.engine.vector` built over the
 from repro.fastpath.backend import (
     BACKENDS,
     HAS_NUMPY,
-    default_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 
 __all__ = [
     "BACKENDS",
     "HAS_NUMPY",
-    "default_backend",
-    "enabled",
     "resolve_backend",
-    "set_default_backend",
-    "use_backend",
 ]
-
-
-def enabled(obj) -> bool:
-    """True when ``obj`` asked for the vectorized backend and numpy is
-    importable — the guard every dispatch site checks before touching
-    the kernel submodules."""
-    return HAS_NUMPY and getattr(obj, "backend", "reference") == "vectorized"

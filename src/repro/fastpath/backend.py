@@ -1,22 +1,20 @@
-"""Backend selection for the vectorized fast path.
+"""Backend resolution for the vectorized fast path.
 
-Every table-indexed predictor accepts ``backend="reference"`` (the
-scalar, pure-Python loops — always available, always authoritative) or
-``backend="vectorized"`` (numpy batch kernels from :mod:`repro.fastpath`
-that the replay harnesses use to process whole event streams at once).
+Two backends exist: ``"reference"`` (the scalar, pure-Python loops —
+always available, always authoritative) and ``"vectorized"`` (the numpy
+batch kernels of :mod:`repro.fastpath` and the engine kernel of
+:mod:`repro.engine.vector`, bit-identical to the reference).
 
-The default backend is process-wide and resolves, in order, from
-``set_default_backend()`` / :func:`use_backend`, the ``REPRO_BACKEND``
-environment variable, and finally ``"reference"``.  numpy is optional:
-when it is missing the vectorized backend silently degrades to the
-reference loops, so nothing in the repository *requires* numpy.
+The choice belongs to a run's :class:`repro.api.ExecutionPolicy`, and
+``backend="auto"`` resolves here, in order: the ``REPRO_BACKEND``
+environment variable, then ``"vectorized"``.  numpy is optional: when
+it is missing the vectorized backend silently degrades to the reference
+loops, so nothing in the repository *requires* numpy.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
 
 try:  # numpy is an optional accelerator, never a hard dependency
     import numpy  # noqa: F401
@@ -28,53 +26,21 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 BACKENDS = ("reference", "vectorized")
 
 _ENV_VAR = "REPRO_BACKEND"
-_default: Optional[str] = None  # None = not set, fall back to env
 
 
-def _validate(name: str) -> str:
+def resolve_backend(name: str) -> str:
+    """Resolve a policy's backend name to a concrete one.
+
+    ``"auto"`` defers to ``REPRO_BACKEND`` and then to
+    ``"vectorized"``.  A request for the vectorized backend on an
+    interpreter without numpy degrades to the reference backend rather
+    than failing: the fast path is an accelerator, not a capability.
+    """
+    if name == "auto":
+        name = os.environ.get(_ENV_VAR) or "vectorized"
     if name not in BACKENDS:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKENDS}")
-    return name
-
-
-def default_backend() -> str:
-    """The process-wide default backend name."""
-    if _default is not None:
-        return _default
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        return _validate(env)
-    return "reference"
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend."""
-    global _default
-    _default = _validate(name)
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the process-wide default backend."""
-    global _default
-    previous = _default
-    _default = _validate(name)
-    try:
-        yield
-    finally:
-        _default = previous
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a constructor's ``backend`` argument to a concrete name.
-
-    ``None`` means "use the default".  A request for the vectorized
-    backend on an interpreter without numpy degrades to the reference
-    backend rather than failing: the fast path is an accelerator, not a
-    capability.
-    """
-    name = default_backend() if backend is None else _validate(backend)
     if name == "vectorized" and not HAS_NUMPY:
         return "reference"
     return name

@@ -27,9 +27,9 @@ package-wide one — bit-identical to the scalar predict→update loop
 differential suite and the ``REPRO_CHECK_INVARIANTS=1`` oracle both
 pin the equivalence).
 
-This module imports numpy and must only be imported behind a
-:func:`repro.fastpath.enabled` / :data:`repro.fastpath.HAS_NUMPY`
-check, like the other kernel submodules.
+This module imports numpy and must only be imported once a policy has
+resolved to ``"vectorized"`` (or behind
+:data:`repro.fastpath.HAS_NUMPY`), like the other kernel submodules.
 """
 
 from __future__ import annotations

@@ -1,60 +1,16 @@
-"""Vectorized address-stream materialization + synthetic event grids.
+"""Synthetic event grids for predictor replay.
 
-Two jobs live here:
-
-* the batch kernels behind ``AddressStream.materialize`` for the
-  rng-free streams (stride walks and pointer chases), which synthesize
-  a whole block of addresses in closed form, bit-identical to ``n``
-  scalar ``next()`` calls;
-
-* seeded (pc, outcome) / (pc, address) workload-grid synthesis used by
-  the differential-equivalence harness and the predictor-only sweeps in
-  ``benchmarks/bench_throughput.py``.  The grids are deliberately
-  cheap, deterministic, and adversarial (aliasing PCs, bursty
-  outcomes) — they exist to exercise predictor state machines, not to
-  model a program.
+Seeded (pc, outcome) / (pc, address) workload-grid synthesis used by
+the differential-equivalence harness and the predictor-only sweeps in
+``benchmarks/bench_throughput.py``.  The grids are deliberately cheap,
+deterministic, and adversarial (aliasing PCs, bursty outcomes) — they
+exist to exercise predictor state machines, not to model a program.
 """
 
 from __future__ import annotations
 
 import random
 from typing import List, Tuple
-
-import numpy as np
-
-
-def materialize_stride(stream, n: int) -> List[int]:
-    """``n`` next addresses of a :class:`~repro.trace.streams.StrideStream`."""
-    offsets = (stream._offset
-               + stream.stride * np.arange(n, dtype=np.int64)) % stream.extent
-    addresses = (stream.base + offsets).tolist()
-    stream._offset = (stream._offset + stream.stride * n) % stream.extent
-    return addresses
-
-
-def materialize_pointer_chase(stream, n: int) -> List[int]:
-    """``n`` next addresses of a ``PointerChaseStream``.
-
-    The chase is one fixed cycle over all nodes, so a block of accesses
-    is a contiguous (wrapping) slice of the cycle order starting at the
-    current node.
-    """
-    cycle = getattr(stream, "_fp_cycle", None)
-    if cycle is None:
-        order = [0] * stream.n_nodes
-        node = stream._current
-        for pos in range(stream.n_nodes):
-            order[pos] = node
-            node = stream._successor[node]
-        cycle = np.asarray(order, dtype=np.int64)
-        position = {int(node): pos for pos, node in enumerate(order)}
-        stream._fp_cycle = cycle
-        stream._fp_position = position
-    start = stream._fp_position[stream._current]
-    picks = cycle[(start + np.arange(n, dtype=np.int64)) % stream.n_nodes]
-    addresses = (stream.base + picks * stream.node_bytes).tolist()
-    stream._current = int(cycle[(start + n) % stream.n_nodes])
-    return addresses
 
 
 def synthesize_outcome_grid(seed: int, n_events: int, n_pcs: int = 97,

@@ -25,7 +25,6 @@ class BinaryHMP(HitMissPredictor):
 
     def __init__(self, component: BinaryPredictor) -> None:
         self._miss_predictor = component
-        self.backend = getattr(component, "backend", "reference")
 
     def predict_hit(self, pc: int, line: Optional[int] = None,
                     now: int = 0) -> bool:

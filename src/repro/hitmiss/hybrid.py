@@ -36,16 +36,14 @@ class HybridHMP(HitMissPredictor):
 
     def __init__(self, local_entries: int = 512, local_history: int = 8,
                  gshare_history: int = 5, gskew_history: int = 8,
-                 gskew_entries: int = 1024,
-                 backend: Optional[str] = None) -> None:
+                 gskew_entries: int = 1024) -> None:
         self._chooser = MajorityChooser([
             LocalPredictor(n_entries=local_entries,
-                           history_bits=local_history, backend=backend),
-            GSharePredictor(history_bits=gshare_history, backend=backend),
+                           history_bits=local_history),
+            GSharePredictor(history_bits=gshare_history),
             GSkewPredictor(history_bits=gskew_history,
-                           bank_entries=gskew_entries, backend=backend),
-        ], backend=backend)
-        self.backend = self._chooser.backend
+                           bank_entries=gskew_entries),
+        ])
 
     def predict_hit(self, pc: int, line: Optional[int] = None,
                     now: int = 0) -> bool:

@@ -22,11 +22,10 @@ class LocalHMP(HitMissPredictor):
     """
 
     def __init__(self, n_entries: int = 2048, history_bits: int = 8,
-                 counter_bits: int = 2, backend: Optional[str] = None) -> None:
+                 counter_bits: int = 2) -> None:
         self._miss_predictor = LocalPredictor(
             n_entries=n_entries, history_bits=history_bits,
-            counter_bits=counter_bits, backend=backend)
-        self.backend = self._miss_predictor.backend
+            counter_bits=counter_bits)
 
     def predict_hit(self, pc: int, line: Optional[int] = None,
                     now: int = 0) -> bool:

@@ -92,6 +92,19 @@ class Cache:
         n_sets = self.n_sets
         return self._touch(self._sets[line % n_sets], line // n_sets)[0]
 
+    def fill(self, address: int) -> None:
+        """Install ``address``'s line as most recently used, evicting
+        the LRU tag of a full set: :meth:`touch`'s effect on the tags
+        without its demand counters (a prefetch fill)."""
+        line = address // self.line_bytes
+        tags = self._sets[line % self.n_sets]
+        tag = line // self.n_sets
+        if tag in tags:
+            tags.remove(tag)
+        tags.insert(0, tag)
+        if len(tags) > self.ways:
+            tags.pop()
+
     def probe(self, address: int) -> bool:
         """Non-destructive residence check (no LRU update, no allocate)."""
         set_index, tag = self._locate(address)

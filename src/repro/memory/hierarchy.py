@@ -106,6 +106,27 @@ class MemoryHierarchy:
         return LoadOutcome(l1_hit=False, l2_hit=l2_hit, latency=latency,
                            line=line)
 
+    def prefetch(self, address: int, now: int = 0) -> bool:
+        """A non-demand fill at cycle ``now``: bring ``address``'s line
+        into both levels, the miss queue and the serviced buffer with
+        the latency a demand miss would see, touching no demand counter
+        (``loads``, ``l1_misses``, ``l2_misses``, the caches' own) and
+        emitting no ``miss`` event.  A line already resident or in
+        flight is left alone; returns whether a fill was issued."""
+        mshr = self.mshr
+        mshr.expire(now)
+        line = address // self.l1d.line_bytes
+        if (mshr.pending_until(line, now) is not None
+                or self.l1d.probe(address)):
+            return False
+        latency = (self.config.l2_latency if self.l2.probe(address)
+                   else self.config.memory_latency)
+        self.l1d.fill(address)
+        self.l2.fill(address)
+        mshr.insert(line, now + latency)
+        self.serviced.insert(line, now + latency)
+        return True
+
     def store(self, address: int, now: int = 0) -> None:
         """Stores install their line in both levels (write-allocate)."""
         if not self.l1d.touch(address):

@@ -89,28 +89,13 @@ class StridePrefetcher:
         for _ in range(self.degree):
             target_line = target // line_bytes
             if (target_line != line
-                    and self.hierarchy.mshr.pending_until(
-                        target_line, now) is None
-                    and not self.hierarchy.would_hit_l1(target, now)):
-                self.hierarchy.load(target, now)
-                # Prefetch traffic must not pollute demand statistics.
-                self._undo_demand_accounting()
+                    and self.hierarchy.prefetch(target, now)):
                 self.stats.issued += 1
                 self._prefetched_lines.add(target_line)
                 if len(self._prefetched_lines) > 512:
                     self._prefetched_lines.pop()
                     self.stats.late_or_useless += 1
             target += stride
-
-    def _undo_demand_accounting(self) -> None:
-        """Remove the hierarchy counters the prefetch access incurred."""
-        stats = self.hierarchy.stats
-        loads = stats.get("loads")
-        misses = stats.get("l1_misses")
-        if loads is not None and loads.value > 0:
-            loads.value -= 1
-        if misses is not None and misses.value > 0:
-            misses.value -= 1
 
     def reset(self) -> None:
         self.predictor.reset()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.common import bits
-from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
 from repro.predictors.counters import CounterTable
 
@@ -13,17 +12,12 @@ class BimodalPredictor(BinaryPredictor):
 
     Used standalone (predictor component "bimodal" of section 2.3's
     predictor B) and as the second level of the two-level predictors.
-
-    ``backend`` selects the replay fast path (``repro.fastpath``); the
-    scalar ``predict``/``update`` API is identical on both backends.
     """
 
-    def __init__(self, n_entries: int = 2048, counter_bits: int = 2,
-                 backend: str | None = None) -> None:
+    def __init__(self, n_entries: int = 2048, counter_bits: int = 2) -> None:
         bits.ilog2(n_entries)  # validate power of two
         self.n_entries = n_entries
         self.counter_bits = counter_bits
-        self.backend = resolve_backend(backend)
         self._table = CounterTable(n_entries, counter_bits)
 
     def _index(self, pc: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction, NO_PREDICTION
 
 
@@ -20,16 +19,11 @@ class MajorityChooser(BinaryPredictor):
 
     The prediction's confidence reflects the vote margin, so downstream
     policies (e.g. duplicate-to-all-banks on low confidence) can react.
-
-    ``backend`` selects the replay fast path (``repro.fastpath``); the
-    scalar ``predict``/``update`` API is identical on both backends.
     """
 
-    def __init__(self, components: Sequence[BinaryPredictor],
-                 backend: str | None = None) -> None:
+    def __init__(self, components: Sequence[BinaryPredictor]) -> None:
         if len(components) % 2 == 0:
             raise ValueError("majority vote needs an odd component count")
-        self.backend = resolve_backend(backend)
         self.components: List[BinaryPredictor] = list(components)
 
     def predict(self, pc: int) -> Prediction:
@@ -66,9 +60,7 @@ class WeightedChooser(BinaryPredictor):
     def __init__(self, components: Sequence[BinaryPredictor],
                  weights: Sequence[float] | None = None,
                  threshold: float = 0.0,
-                 confidence_scaled: bool = False,
-                 backend: str | None = None) -> None:
-        self.backend = resolve_backend(backend)
+                 confidence_scaled: bool = False) -> None:
         self.components = list(components)
         if weights is None:
             weights = [1.0] * len(self.components)

@@ -9,21 +9,15 @@ what the paper means by "history length of 11 loads".
 from __future__ import annotations
 
 from repro.common import bits
-from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
 from repro.predictors.counters import CounterTable
 
 
 class GSharePredictor(BinaryPredictor):
-    """PC xor global-history indexed counter table.
-
-    ``backend`` selects the replay fast path (``repro.fastpath``); the
-    scalar ``predict``/``update`` API is identical on both backends.
-    """
+    """PC xor global-history indexed counter table."""
 
     def __init__(self, history_bits: int = 11, n_entries: int | None = None,
-                 counter_bits: int = 2, backend: str | None = None) -> None:
-        self.backend = resolve_backend(backend)
+                 counter_bits: int = 2) -> None:
         self.history_bits = history_bits
         self.n_entries = (1 << history_bits) if n_entries is None else n_entries
         bits.ilog2(self.n_entries)

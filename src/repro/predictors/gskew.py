@@ -15,23 +15,17 @@ from __future__ import annotations
 from typing import List
 
 from repro.common import bits
-from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
 from repro.predictors.counters import CounterTable
 
 
 class GSkewPredictor(BinaryPredictor):
-    """Three skewed counter banks with majority vote and partial update.
-
-    ``backend`` selects the replay fast path (``repro.fastpath``); the
-    scalar ``predict``/``update`` API is identical on both backends.
-    """
+    """Three skewed counter banks with majority vote and partial update."""
 
     N_BANKS = 3
 
     def __init__(self, history_bits: int = 20, bank_entries: int = 1024,
-                 counter_bits: int = 2, backend: str | None = None) -> None:
-        self.backend = resolve_backend(backend)
+                 counter_bits: int = 2) -> None:
         self.history_bits = history_bits
         self.bank_entries = bank_entries
         bits.ilog2(bank_entries)

@@ -12,23 +12,17 @@ from __future__ import annotations
 from typing import List
 
 from repro.common import bits
-from repro.fastpath.backend import resolve_backend
 from repro.predictors.base import BinaryPredictor, Prediction
 from repro.predictors.counters import CounterTable
 
 
 class LocalPredictor(BinaryPredictor):
-    """Per-PC history registers feeding a shared pattern table.
-
-    ``backend`` selects the replay fast path (``repro.fastpath``); the
-    scalar ``predict``/``update`` API is identical on both backends.
-    """
+    """Per-PC history registers feeding a shared pattern table."""
 
     def __init__(self, n_entries: int = 2048, history_bits: int = 8,
-                 counter_bits: int = 2, pattern_entries: int | None = None,
-                 backend: str | None = None) -> None:
+                 counter_bits: int = 2,
+                 pattern_entries: int | None = None) -> None:
         bits.ilog2(n_entries)
-        self.backend = resolve_backend(backend)
         self.n_entries = n_entries
         self.history_bits = history_bits
         self.counter_bits = counter_bits

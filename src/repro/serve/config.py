@@ -32,10 +32,11 @@ class ServeConfig:
         The backoff hint attached to a rejection.
     policy:
         The :class:`repro.api.ExecutionPolicy` every shard executes
-        under — backend choice, hot-trace thresholds, invariant mode.
-        Picklable, so it travels verbatim to fleet workers.  The
-        default (``backend="auto"``) follows the process default chain
-        of :mod:`repro.fastpath.backend`.
+        under — backend choice and invariant mode.  Picklable, so it
+        travels verbatim to fleet workers.  The default
+        (``backend="auto"``) resolves policy → ``REPRO_BACKEND`` →
+        ``"vectorized"`` when numpy is importable, so a default
+        config runs the batch kernels.
     min_kernel_run:
         Shortest same-session step run worth dispatching to a numpy
         kernel; shorter runs replay through the scalar reference loop

@@ -19,7 +19,6 @@ class Session:
                  "hottrace")
 
     def __init__(self, session_id: str, spec: PredictorSpec,
-                 backend: Optional[str] = None,
                  predictor: Optional[object] = None,
                  served: int = 0) -> None:
         if spec.family not in SERVABLE_FAMILIES:
@@ -30,7 +29,7 @@ class Session:
         self.spec = spec
         self.family = spec.family
         self.predictor = (predictor if predictor is not None
-                          else build_predictor(spec, backend=backend))
+                          else build_predictor(spec))
         self.served = served
         #: Hot-trace recording state (:class:`repro.fastpath.hottrace.
         #: SessionTraceState`), lazily attached by the shard's engine.

@@ -472,9 +472,7 @@ class Shard:
                         f"session {session_id!r} already open with a "
                         f"different spec ({existing.spec.kind})")
                 if existing is None:
-                    self.sessions[session_id] = Session(
-                        session_id, spec,
-                        backend=self.policy.resolved_backend())
+                    self.sessions[session_id] = Session(session_id, spec)
                 entry.future.set_result(None)
             elif entry.op == "close":
                 session = self.sessions.pop(entry.payload, None)

@@ -21,10 +21,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import List, Optional
-
-from repro.fastpath import HAS_NUMPY
-from repro.fastpath.backend import resolve_backend
+from typing import List
 
 
 class AddressStream(abc.ABC):
@@ -37,28 +34,6 @@ class AddressStream(abc.ABC):
     @abc.abstractmethod
     def reset(self) -> None:
         """Rewind to the initial state."""
-
-    def materialize(self, n: int, rng: random.Random,
-                    backend: Optional[str] = None) -> List[int]:
-        """The next ``n`` addresses as a list — exactly what ``n``
-        successive :meth:`next` calls would return, with the stream
-        state advanced identically.
-
-        With ``backend="vectorized"`` (or the process default), streams
-        whose walk is rng-free (stride walks, pointer chases) batch the
-        block in closed form; rng-consuming streams always take the
-        scalar loop so the shared ``rng`` consumption order — and hence
-        every downstream draw — is preserved bit for bit.
-        """
-        if resolve_backend(backend) == "vectorized" and HAS_NUMPY:
-            batch = self._materialize_vectorized(n)
-            if batch is not None:
-                return batch
-        return [self.next(rng) for _ in range(n)]
-
-    def _materialize_vectorized(self, n: int) -> Optional[List[int]]:
-        """Batch kernel hook; ``None`` means "no exact kernel"."""
-        return None
 
 
 class StrideStream(AddressStream):
@@ -78,10 +53,6 @@ class StrideStream(AddressStream):
         address = self.base + self._offset
         self._offset = (self._offset + self.stride) % self.extent
         return address
-
-    def _materialize_vectorized(self, n: int) -> List[int]:
-        from repro.fastpath.tracegen import materialize_stride
-        return materialize_stride(self, n)
 
     def reset(self) -> None:
         self._offset = 0
@@ -139,10 +110,6 @@ class PointerChaseStream(AddressStream):
         address = self.base + self._current * self.node_bytes
         self._current = self._successor[self._current]
         return address
-
-    def _materialize_vectorized(self, n: int) -> List[int]:
-        from repro.fastpath.tracegen import materialize_pointer_chase
-        return materialize_pointer_chase(self, n)
 
     def reset(self) -> None:
         # Restart from node 0's successor chain head deterministically.

@@ -107,11 +107,12 @@ def test_cache_material_binds_schema():
                                                  spec.to_json_dict())
 
 
-def test_backend_passthrough():
-    ref = build_predictor(spec_for("binary.bimodal"), backend="reference")
-    vec = build_predictor(spec_for("binary.bimodal"), backend="vectorized")
-    assert ref.backend == "reference"
-    assert vec.backend == "vectorized"
+def test_build_takes_no_backend():
+    # The run's ExecutionPolicy picks the path, not the predictor.
+    with pytest.raises(TypeError):
+        build_predictor(spec_for("binary.bimodal"), backend="vectorized")
+    with pytest.raises(TypeError):
+        spec_for("binary.bimodal").build(backend="vectorized")
 
 
 def test_spec_build_method_matches_build_predictor():

@@ -21,7 +21,6 @@ from repro.engine.ordering import (
 from repro.engine.results import SimResult
 from repro.experiments.harness import get_trace
 from repro.fastpath import HAS_NUMPY
-from repro.fastpath.backend import use_backend
 from tests.engine.helpers import MicroTrace
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY,
@@ -362,7 +361,7 @@ class TestRoutingAndFallback:
         assert calls == ["one"]
 
     @needs_numpy
-    def test_use_backend_context_routes(self, monkeypatch):
+    def test_default_policy_routes_to_vectorized(self, monkeypatch):
         from repro.engine import vector
         calls = []
         real = vector.run_vectorized
@@ -371,9 +370,10 @@ class TestRoutingAndFallback:
             lambda m, t, max_cycles=None: (calls.append(t.name)
                                            or real(m, t,
                                                    max_cycles=max_cycles)))
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         trace = MicroTrace().alu(dst=1).build("one")
-        with use_backend("vectorized"):
-            Machine(scheme=make_scheme("traditional")).run(trace)
+        Machine(scheme=make_scheme("traditional")).run(trace)
         assert calls == ["one"]
 
     def test_unsupported_machine_falls_back(self):

@@ -7,12 +7,17 @@ afterwards.  Anything weaker would let the vectorized backend silently
 drift the figures.
 """
 
+from repro.api import ExecutionPolicy
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.chooser import MajorityChooser, WeightedChooser
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.gskew import GSkewPredictor
 from repro.predictors.local import LocalPredictor
 
+
+#: The two sides of every harness-level comparison.
+REFERENCE = ExecutionPolicy(backend="reference")
+VECTORIZED = ExecutionPolicy(backend="vectorized")
 
 #: Run lengths every kernel suite replays: tiny runs, a serve window and
 #: its neighbours, and three that straddle ``replay``'s 16,384-event

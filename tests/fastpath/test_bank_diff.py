@@ -14,7 +14,12 @@ from repro.fastpath import bank as fp_bank
 from repro.fastpath.tracegen import synthesize_bank_grid
 from repro.predictors.bimodal import BimodalPredictor
 
-from tests.fastpath.helpers import RUN_LENGTHS, predictor_state
+from tests.fastpath.helpers import (
+    REFERENCE,
+    RUN_LENGTHS,
+    VECTORIZED,
+    predictor_state,
+)
 
 MAKERS = {
     "A": make_predictor_a,
@@ -34,10 +39,10 @@ REPLAYS = ([pytest.param(seed, label, 3000, id=f"{seed}-{label}")
 @pytest.mark.parametrize("seed,label,n", REPLAYS)
 def test_stats_and_state_identical(seed, label, n):
     stream = synthesize_bank_grid(seed, n)
-    reference = MAKERS[label](backend="reference")
-    vectorized = MAKERS[label](backend="vectorized")
-    ref_stats = evaluate(reference, stream)
-    vec_stats = evaluate(vectorized, stream)
+    reference = MAKERS[label]()
+    vectorized = MAKERS[label]()
+    ref_stats = evaluate(reference, stream, policy=REFERENCE)
+    vec_stats = evaluate(vectorized, stream, policy=VECTORIZED)
     assert (vec_stats.loads, vec_stats.predicted, vec_stats.correct) \
         == (ref_stats.loads, ref_stats.predicted, ref_stats.correct)
     assert predictor_state(vectorized._chooser) \
@@ -46,8 +51,8 @@ def test_stats_and_state_identical(seed, label, n):
 
 def test_prediction_stream_identical_including_abstains():
     stream = synthesize_bank_grid(63, 2500)
-    reference = make_predictor_a(backend="reference")
-    vectorized = make_predictor_a(backend="vectorized")
+    reference = make_predictor_a()
+    vectorized = make_predictor_a()
     expected = []
     for pc, address in stream:
         bank = (address // LINE_BYTES) % N_BANKS
@@ -64,18 +69,15 @@ def test_prediction_stream_identical_including_abstains():
 def test_abstain_threshold_respected():
     stream = synthesize_bank_grid(64, 1500)
     never = HistoryBankPredictor([BimodalPredictor(n_entries=64)],
-                                 abstain_threshold=2.0,
-                                 backend="vectorized")
-    stats = evaluate(never, stream)
+                                 abstain_threshold=2.0)
+    stats = evaluate(never, stream, policy=VECTORIZED)
     assert stats.loads == len(stream) and stats.predicted == 0
     always = HistoryBankPredictor([BimodalPredictor(n_entries=64)],
-                                  abstain_threshold=0.0,
-                                  backend="vectorized")
+                                  abstain_threshold=0.0)
     reference = HistoryBankPredictor([BimodalPredictor(n_entries=64)],
-                                     abstain_threshold=0.0,
-                                     backend="reference")
-    assert evaluate(always, stream).as_dict() \
-        == evaluate(reference, stream).as_dict()
+                                     abstain_threshold=0.0)
+    assert evaluate(always, stream, policy=VECTORIZED).as_dict() \
+        == evaluate(reference, stream, policy=REFERENCE).as_dict()
 
 
 def test_address_predictor_keeps_scalar_path():
@@ -84,5 +86,5 @@ def test_address_predictor_keeps_scalar_path():
     predictor = AddressBankPredictor()
     assert not fp_bank.supports(predictor)
     stream = synthesize_bank_grid(65, 400)
-    stats = evaluate(predictor, stream)
+    stats = evaluate(predictor, stream, policy=VECTORIZED)
     assert stats.loads == len(stream)

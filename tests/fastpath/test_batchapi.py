@@ -60,14 +60,14 @@ def test_replay_steps_matches_scalar(kind, n, params):
     distances = [(1 + rng.randrange(3)) if (spec.family == "cht" and o)
                  else -1 for o in outcomes]
 
-    kernel_predictor = build_predictor(spec, backend="vectorized")
+    kernel_predictor = build_predictor(spec)
     got = batchapi.replay_steps(
         spec.family, kernel_predictor,
         numpy.asarray(pcs, dtype=numpy.int64),
         numpy.asarray(outcomes, dtype=numpy.int64),
         numpy.asarray(distances, dtype=numpy.int64)).tolist()
 
-    scalar_predictor = build_predictor(spec, backend="vectorized")
+    scalar_predictor = build_predictor(spec)
     expected = scalar_steps(spec.family, scalar_predictor, pcs, outcomes,
                             distances)
     assert got == expected

@@ -8,7 +8,7 @@ from repro.experiments.cht_accuracy import LoadEvent, replay
 from repro.fastpath.cht import event_arrays, tagless_replay
 from repro.fastpath.tracegen import synthesize_collision_grid
 
-from tests.fastpath.helpers import RUN_LENGTHS
+from tests.fastpath.helpers import REFERENCE, RUN_LENGTHS, VECTORIZED
 
 
 def _events(seed, n=4000):
@@ -36,11 +36,9 @@ class TestKernel:
                                                track_distance):
         events = _events(seed, n)
         reference = TaglessCHT(n_entries=512, counter_bits=counter_bits,
-                               track_distance=track_distance,
-                               backend="reference")
+                               track_distance=track_distance)
         vectorized = TaglessCHT(n_entries=512, counter_bits=counter_bits,
-                                track_distance=track_distance,
-                                backend="vectorized")
+                                track_distance=track_distance)
         expected = []
         for event in events:
             expected.append(reference.lookup(event.pc).colliding)
@@ -89,13 +87,11 @@ class TestHarnessDispatch:
     def test_replay_accuracy_identical(self, warm, track_distance):
         events = _events(44)
         reference = TaglessCHT(n_entries=512, counter_bits=1,
-                               track_distance=track_distance,
-                               backend="reference")
+                               track_distance=track_distance)
         vectorized = TaglessCHT(n_entries=512, counter_bits=1,
-                                track_distance=track_distance,
-                                backend="vectorized")
-        assert replay(events, vectorized, warm=warm) \
-            == replay(events, reference, warm=warm)
+                                track_distance=track_distance)
+        assert replay(events, vectorized, warm=warm, policy=VECTORIZED) \
+            == replay(events, reference, warm=warm, policy=REFERENCE)
         assert _cht_state(vectorized) == _cht_state(reference)
 
     def test_shared_array_cache_replay_identical(self):
@@ -105,16 +101,20 @@ class TestHarnessDispatch:
         events = _events(46)
         shared = EventArrayCache(events)
         for entries in (256, 1024):
-            reference = TaglessCHT(n_entries=entries, backend="reference")
-            vectorized = TaglessCHT(n_entries=entries,
-                                    backend="vectorized")
-            assert replay(events, vectorized, arrays=shared) \
-                == replay(events, reference)
+            reference = TaglessCHT(n_entries=entries)
+            vectorized = TaglessCHT(n_entries=entries)
+            assert replay(events, vectorized, arrays=shared,
+                          policy=VECTORIZED) \
+                == replay(events, reference, policy=REFERENCE)
             assert _cht_state(vectorized) == _cht_state(reference)
 
-    def test_reference_backend_takes_scalar_path(self):
-        # Sanity: the accuracy object is the same dataclass either way.
+    def test_reference_backend_takes_scalar_path(self, monkeypatch):
+        import repro.experiments.cht_accuracy as cht_accuracy
+
+        def boom(*a, **k):  # pragma: no cover - must not be called
+            raise AssertionError("batch kernel invoked")
+
+        monkeypatch.setattr(cht_accuracy, "_replay_vectorized", boom)
         events = _events(45, 500)
-        acc = replay(events, TaglessCHT(n_entries=128,
-                                        backend="reference"))
+        acc = replay(events, TaglessCHT(n_entries=128), policy=REFERENCE)
         assert acc.conflicting == sum(1 for e in events if e.conflicting)

@@ -9,17 +9,18 @@ from repro.hitmiss.hybrid import HybridHMP
 from repro.hitmiss.local import LocalHMP
 from repro.hitmiss.oracle import AlwaysHitHMP
 
-from tests.fastpath.helpers import RUN_LENGTHS, predictor_state
+from tests.fastpath.helpers import (
+    REFERENCE,
+    RUN_LENGTHS,
+    VECTORIZED,
+    predictor_state,
+)
 
 FACTORIES = {
-    "local": lambda backend: LocalHMP(n_entries=256, history_bits=6,
-                                      backend=backend),
-    "local-paper": lambda backend: LocalHMP(n_entries=2048, history_bits=8,
-                                            backend=backend),
-    "hybrid": lambda backend: HybridHMP(backend=backend),
-    "hybrid-paper": lambda backend: HybridHMP(gshare_history=11,
-                                              gskew_history=20,
-                                              backend=backend),
+    "local": lambda: LocalHMP(n_entries=256, history_bits=6),
+    "local-paper": lambda: LocalHMP(n_entries=2048, history_bits=8),
+    "hybrid": HybridHMP,
+    "hybrid-paper": lambda: HybridHMP(gshare_history=11, gskew_history=20),
 }
 
 
@@ -48,18 +49,18 @@ REPLAYS = ([pytest.param(warm, seed, label, 3000,
 @pytest.mark.parametrize("warm,seed,label,n", REPLAYS)
 def test_replay_stats_and_state_identical(warm, seed, label, n):
     events = _events(seed, n)
-    reference = FACTORIES[label]("reference")
-    vectorized = FACTORIES[label]("vectorized")
-    ref_stats = replay(events, reference, warm=warm)
-    vec_stats = replay(events, vectorized, warm=warm)
+    reference = FACTORIES[label]()
+    vectorized = FACTORIES[label]()
+    ref_stats = replay(events, reference, warm=warm, policy=REFERENCE)
+    vec_stats = replay(events, vectorized, warm=warm, policy=VECTORIZED)
     assert vec_stats.counts == ref_stats.counts
     assert _state(vectorized) == _state(reference)
 
 
 def test_prediction_stream_identical():
     events = _events(53, 2000)
-    reference = FACTORIES["hybrid"]("reference")
-    vectorized = FACTORIES["hybrid"]("vectorized")
+    reference = FACTORIES["hybrid"]()
+    vectorized = FACTORIES["hybrid"]()
     expected = []
     for event in events:
         expected.append(reference.predict_hit(event.pc, event.line,
@@ -75,5 +76,5 @@ def test_unsupported_predictor_falls_back():
     # scalar loop, so the result is still correct.
     assert not fp_hitmiss.supports(AlwaysHitHMP())
     events = _events(54, 300)
-    stats = replay(events, AlwaysHitHMP())
+    stats = replay(events, AlwaysHitHMP(), policy=VECTORIZED)
     assert stats.total == len(events)

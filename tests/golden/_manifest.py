@@ -11,10 +11,11 @@ figure family is represented: machine-driven (fig5, fig7), CHT replay
 seeded trace so drift in the generator itself is caught before it
 cascades into the figures.
 
-Figures run under the ambient fastpath backend: the committed bytes
-were produced by the scalar reference, so re-running the suite with
-``REPRO_BACKEND=vectorized`` doubles as an end-to-end equivalence
-check against the same fixtures.
+Figures run under the default policy, which takes the kernels: the
+committed bytes were produced by the scalar reference, so every run
+is an end-to-end equivalence check against the same fixtures, and
+re-running the suite with ``REPRO_BACKEND=reference`` checks the
+scalar path.
 """
 
 import json

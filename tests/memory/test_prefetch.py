@@ -112,3 +112,79 @@ class TestEngineIntegration:
         assert prefetched.retired_uops == len(trace)
         assert prefetched.l1_miss_rate < plain.l1_miss_rate
         assert prefetched.cycles <= plain.cycles
+
+
+class TestDemandCounterIdentities:
+    """The hierarchy's counters count demand traffic only, prefetcher on
+    or off: ``loads`` is the machine's demand ``load`` calls, each
+    level's hits plus misses are its demand accesses, and ``l2_misses``
+    is the demand loads that missed L2."""
+
+    @staticmethod
+    def _tally(machine):
+        """Count each demand call into the hierarchy — any made outside
+        the prefetcher — by wrapping the instances' methods."""
+        counts = {"load": 0, "l1d": 0, "l2": 0, "l2_load_miss": 0}
+        inside = []
+
+        def wrap(obj, name, tag):
+            real = getattr(obj, name)
+
+            def spy(*args, **kwargs):
+                inside.append(tag)
+                try:
+                    out = real(*args, **kwargs)
+                finally:
+                    inside.pop()
+                if "prefetcher" not in inside and tag in counts:
+                    counts[tag] += 1
+                    if tag == "l2" and not out and "load" in inside:
+                        counts["l2_load_miss"] += 1
+                return out
+
+            setattr(obj, name, spy)
+
+        h = machine.hierarchy
+        wrap(h, "load", "load")
+        wrap(h, "store", "store")
+        wrap(h.l1d, "touch", "l1d")
+        wrap(h.l2, "touch", "l2")
+        if machine.prefetcher is not None:
+            wrap(machine.prefetcher, "on_demand_access", "prefetcher")
+        return counts
+
+    @pytest.mark.parametrize("with_prefetch", (False, True),
+                             ids=("prefetch-off", "prefetch-on"))
+    def test_counters_count_demand_only(self, with_prefetch):
+        from repro.engine.machine import Machine
+        from repro.engine.ordering import make_scheme
+        from repro.trace.builder import build_trace
+        from repro.trace.workloads import profile_for, trace_seed
+
+        trace = build_trace(profile_for("applu"), n_uops=4000,
+                            seed=trace_seed("applu"), name="applu")
+        h = hierarchy()
+        machine = Machine(scheme=make_scheme("perfect"), hierarchy=h)
+        if with_prefetch:
+            machine.prefetcher = StridePrefetcher(h, degree=2)
+        counts = self._tally(machine)
+        machine.run(trace)
+        if with_prefetch:
+            assert machine.prefetcher.stats.issued > 0
+        memory = h.stats.as_dict()
+        assert memory["loads"] == counts["load"] > 0
+        for level in ("l1d", "l2"):
+            assert (memory[level]["hits"] + memory[level]["misses"]
+                    == counts[level]), level
+        assert memory["l2_misses"] == counts["l2_load_miss"]
+
+    def test_prefetch_fill_installs_without_counting(self):
+        h = hierarchy()
+        h.prefetch(0x10000, now=0)
+        before = h.stats.as_dict()
+        assert before["loads"] == before["l1_misses"] == 0
+        assert before["l1d"]["misses"] == before["l2"]["misses"] == 0
+        assert h.mshr.pending_until(0x10000 // 64, 0) is not None
+        outcome = h.load(0x10000, now=1000)  # after the fill arrived
+        assert outcome.l1_hit
+        assert h.stats.as_dict()["loads"] == 1

@@ -53,7 +53,7 @@ def drive(engine, stream):
     does, under the process-default policy; returns the session."""
     policy = ExecutionPolicy()
     backend = policy.resolved_backend()
-    session = Session("p", SPEC, backend=backend)
+    session = Session("p", SPEC)
     for window_id in stream:
         pcs, outcomes, distances = lanes_for(window_id)
         execute_step_arrays_ex(session, pcs, outcomes, distances, backend,

@@ -58,7 +58,7 @@ def _canonical_bytes(predictor) -> bytes:
 
 def _shadow_state(steps):
     """The oracle: one fresh predictor, the stream applied once."""
-    predictor = build_predictor(SPEC, backend="vectorized")
+    predictor = build_predictor(SPEC)
     for pc, outcome in steps:
         apply_step(SPEC.family, predictor, pc, outcome)
     return _canonical_bytes(predictor)

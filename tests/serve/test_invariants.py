@@ -87,8 +87,7 @@ def test_policy_auto_with_env_zero_is_off(monkeypatch):
 
 
 def test_clean_kernel_passes_under_invariants():
-    session = Session("s", spec_for("hmp.local", size=64, history=2),
-                      backend="vectorized")
+    session = Session("s", spec_for("hmp.local", size=64, history=2))
     results, via = execute_steps_ex(session, _requests(), "vectorized",
                                     min_kernel_run=4, memo=HotTraceEngine(),
                                     check=True)
@@ -98,8 +97,7 @@ def test_clean_kernel_passes_under_invariants():
 
 def test_corrupted_results_raise(monkeypatch):
     _lying_kernel(monkeypatch)
-    session = Session("s", spec_for("hmp.local", size=64, history=2),
-                      backend="vectorized")
+    session = Session("s", spec_for("hmp.local", size=64, history=2))
     with pytest.raises(ServeInvariantViolation, match="index 5"):
         execute_steps_ex(session, _requests(), "vectorized",
                          min_kernel_run=4, memo=HotTraceEngine(),
@@ -116,8 +114,7 @@ def test_corrupted_state_raises(monkeypatch):
         return out
 
     monkeypatch.setattr(batchapi, "replay_steps", state_scrambling_kernel)
-    session = Session("s", spec_for("hmp.local", size=64, history=2),
-                      backend="vectorized")
+    session = Session("s", spec_for("hmp.local", size=64, history=2))
     with pytest.raises(ServeInvariantViolation, match="state"):
         execute_steps_ex(session, _requests(), "vectorized",
                          min_kernel_run=4, memo=HotTraceEngine(),

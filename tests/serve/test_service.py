@@ -5,8 +5,7 @@ import pickle
 
 import pytest
 
-from repro.api import spec_for
-from repro.fastpath.backend import resolve_backend
+from repro.api import ExecutionPolicy, spec_for
 from repro.serve import (
     ERR_CLOSED,
     ERR_RETRY,
@@ -243,7 +242,8 @@ def test_stats_shape():
             stats = service.stats()
             assert stats["config"]["n_shards"] == 3
             # The default "auto" policy reports what it resolved to.
-            assert stats["config"]["backend"] == resolve_backend(None)
+            assert stats["config"]["backend"] == \
+                ExecutionPolicy().resolved_backend()
             assert len(stats["shards"]) == 3
             assert set(stats["totals"]) >= {"sessions", "served",
                                             "batches", "kernel_batches",

@@ -82,3 +82,57 @@ def test_corrupt_snapshot_degrades_to_none(tmp_path):
             count += 1
     assert count > 0
     assert load_snapshot(str(tmp_path), "x") is None
+
+
+def _with_backend_attributes(predictor):
+    """Give a predictor tree the per-object ``backend`` instance
+    attribute that predictors carried before the run's policy alone
+    picked the execution path (the schema-3 blobs of that layout)."""
+    stack = [predictor]
+    while stack:
+        obj = stack.pop()
+        obj.backend = "vectorized"
+        stack.extend(getattr(obj, "components", ()))
+        stack.extend(getattr(obj, name) for name in ("_chooser",
+                                                     "_miss_predictor")
+                     if hasattr(obj, name))
+
+
+@pytest.mark.parametrize("kind", ("binary.gshare", "cht.tagless",
+                                  "hmp.hybrid", "bank.a"))
+def test_blob_with_backend_attributes_restores(kind):
+    import pickle
+    import random
+
+    from repro.serve.session import Session
+
+    spec = spec_for(kind)
+    old = Session("old", spec)
+    _with_backend_attributes(old.predictor)
+    blob = pickle.dumps(old.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
+    assert b"backend" in blob
+    payload = {"schema": SNAPSHOT_SCHEMA, "sessions": {"old": blob}}
+
+    rng = random.Random(7)
+    windows = []
+    for _ in range(2):
+        pcs = tuple(0x400 + 4 * rng.randrange(24) for _ in range(300))
+        outcomes = tuple(rng.randrange(2) for _ in pcs)
+        windows.append((pcs, outcomes))
+
+    async def main():
+        async with PredictionService(ServeConfig(n_shards=2)) as service:
+            assert await service.restore_payload(payload) == 1
+            await service.open_session("new", spec)
+            answers = {}
+            for sid in ("old", "new"):
+                for seq, (pcs, outcomes) in enumerate(windows):
+                    r = await service.request(PredictRequest(
+                        sid, op="replay", pcs=pcs, outcomes=outcomes,
+                        seq=seq))
+                    assert r.ok, r.error
+                    answers.setdefault(sid, []).append(r.result)
+            return answers
+
+    answers = asyncio.run(main())
+    assert answers["old"] == answers["new"]
