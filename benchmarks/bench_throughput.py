@@ -2,8 +2,9 @@
 
 Unlike the figure benchmarks (which measure the *simulated machine*),
 this measures the *simulator*: how many trace uops per wall-clock
-second ``Machine.run`` retires under each ordering scheme, and what the
-observability layer costs when enabled.  Results land in
+second ``Machine.run`` retires under each ordering scheme on each
+backend (the ``engine`` section), and what the observability layer
+costs when enabled.  Results land in
 ``BENCH_throughput.json`` so the perf trajectory is tracked run over
 run, and CI uploads the file as a workflow artifact.
 
@@ -35,15 +36,7 @@ from repro.engine.ordering import make_scheme  # noqa: E402
 from repro.obs import EventBus, JsonlSink, instrument  # noqa: E402
 from repro.obs.provenance import collect_provenance  # noqa: E402
 from repro.obs.sinks import git_revision  # noqa: E402
-from repro.parallel import (  # noqa: E402
-    ExecutionPlan,
-    ResultCache,
-    SimJob,
-    load_or_build_trace,
-    run_jobs,
-    sim_job,
-)
-from repro.trace.builder import build_trace  # noqa: E402
+from repro.parallel import ResultCache, load_or_build_trace  # noqa: E402
 from repro.trace.workloads import profile_for, trace_seed  # noqa: E402
 
 DEFAULT_SCHEMES = ("traditional", "opportunistic", "inclusive",
@@ -51,15 +44,16 @@ DEFAULT_SCHEMES = ("traditional", "opportunistic", "inclusive",
 
 
 def _best_run(make_machine, trace, repeats: int,
-              policy: Optional[ExecutionPolicy] = None) -> Dict[str, float]:
-    """Run ``repeats`` times, keep the fastest wall-clock (least noise)."""
+              policy: ExecutionPolicy) -> Dict[str, float]:
+    """Run ``repeats`` times, keep the fastest wall-clock (least noise);
+    a run that leaves ``policy``'s backend is an error, not a sample."""
     best: Optional[Dict[str, float]] = None
     for _ in range(max(1, repeats)):
         machine = make_machine()
         start = time.perf_counter()
         result = machine.run(trace, policy=policy)
         elapsed = time.perf_counter() - start
-        if policy is not None and machine.last_degrade_reason is not None:
+        if machine.last_degrade_reason is not None:
             raise RuntimeError(f"{policy.backend} arm degraded: "
                                f"{machine.last_degrade_reason}")
         sample = {
@@ -72,45 +66,6 @@ def _best_run(make_machine, trace, repeats: int,
             best = sample
     assert best is not None
     return best
-
-
-@sim_job("bench-scheme")
-def _bench_scheme_leaf(trace_name: str, scheme: str, n_uops: int,
-                       repeats: int) -> Dict[str, float]:
-    """Time one scheme in an isolated process (trace built untimed).
-
-    Never cached (the job is marked non-cacheable): a wall-clock
-    measurement replayed from disk would be a lie.
-    """
-    trace = build_trace(profile_for(trace_name), n_uops=n_uops,
-                        seed=trace_seed(trace_name), name=trace_name)
-    return _best_run(lambda: Machine(scheme=make_scheme(scheme)),
-                     trace, repeats)
-
-
-def measure_schemes(trace, schemes, repeats: int, workers: int = 0,
-                    n_uops: Optional[int] = None) -> Dict[str, Dict]:
-    if workers > 1:
-        # One timing job per scheme; concurrent jobs share the machine,
-        # so expect a few percent more noise than the serial path.
-        jobs = [SimJob.make(_bench_scheme_leaf,
-                            key=("bench-scheme", trace.name, name),
-                            cacheable=False,
-                            trace_name=trace.name, scheme=name,
-                            n_uops=(n_uops if n_uops is not None
-                                    else len(trace)),
-                            repeats=repeats)
-                for name in schemes]
-        results = run_jobs(jobs, plan=ExecutionPlan(workers=workers))
-        out = dict(zip(schemes, results))
-    else:
-        out = {name: _best_run(lambda: Machine(scheme=make_scheme(name)),
-                               trace, repeats)
-               for name in schemes}
-    for name in schemes:
-        print(f"  {name:14s} {out[name]['uops_per_sec']:>12,.0f} uops/sec"
-              f"   ({out[name]['cycles']} cycles)")
-    return out
 
 
 def measure_engine_backends(trace, schemes, repeats: int) -> Dict[str, object]:
@@ -128,20 +83,15 @@ def measure_engine_backends(trace, schemes, repeats: int) -> Dict[str, object]:
         return {"skipped": "numpy unavailable"}
 
     def timed(backend: str, scheme: str) -> Dict[str, float]:
-        best: Optional[Dict[str, float]] = None
-        for _ in range(max(1, repeats)):
-            machine = Machine(scheme=make_scheme(scheme))
-            start = time.perf_counter()
-            result = machine.run(
-                trace, policy=ExecutionPolicy(backend=backend))
-            elapsed = time.perf_counter() - start
-            sample = {"wall_seconds": elapsed,
-                      "uops_per_sec": result.retired_uops / elapsed}
-            if best is None or sample["wall_seconds"] < best["wall_seconds"]:
-                best = sample
-        assert best is not None
-        return best
+        return _best_run(lambda: Machine(scheme=make_scheme(scheme)),
+                         trace, repeats,
+                         policy=ExecutionPolicy(backend=backend))
 
+    # The kernel's lanes are built once per trace and cached on it, like
+    # the trace itself: build them untimed so the first scheme's
+    # vectorized arm is not charged for every scheme's conversion.
+    from repro.fastpath.uoparrays import trace_arrays
+    trace_arrays(trace)
     out: Dict[str, object] = {}
     for name in schemes:
         ref = timed("reference", name)
@@ -492,9 +442,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=int(os.environ.get(
                             "REPRO_BENCH_FASTPATH_EVENTS", "200000")),
                         help="events per fastpath predictor sweep")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="time each scheme in its own worker "
-                             "process (slightly noisier; 0 = serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk trace cache (timings themselves "
                              "are never cached)")
@@ -518,16 +465,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "n_uops": args.uops,
         "seed": trace_seed(args.trace),
         "repeats": args.repeats,
-        "workers": args.workers,
         "python": sys.version.split()[0],
         "git_rev": git_revision(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         # Full run provenance (host, platform, numpy, cpu count) so
         # history rows from different machines are distinguishable.
         "provenance": collect_provenance(),
-        "schemes": measure_schemes(trace, schemes, args.repeats,
-                                   workers=args.workers,
-                                   n_uops=args.uops),
     }
     if not args.skip_engine:
         print("engine replay backends (reference vs vectorized):")

@@ -12,7 +12,7 @@ object accepted end-to-end::
     machine.run(trace, policy=policy)                  # engine
     cht_accuracy.replay(events, cht, policy=policy)    # replay harnesses
     ServeConfig(policy=policy)                         # serve tier
-    python -m repro.serve bench --policy '{"backend": "auto"}'
+    python -m repro.serve serve --policy '{"backend": "auto"}'
 
 Predictor objects carry no backend of their own.  The environment
 variables stay authoritative for the *deferred* modes only, and are

@@ -119,9 +119,11 @@ class Machine:
         #: point and emits nothing; wire a bus (and the hierarchy's /
         #: predictors' hooks) with :func:`repro.obs.instrument`.
         self.obs = obs
-        #: Why the most recent :meth:`run` fell back from a requested
+        #: Why the most recent :meth:`run` fell back from a resolved
         #: vectorized backend to the scalar loop (``None`` = it did not
-        #: degrade).  The obs-event counterpart is ``BACKEND_DEGRADE``.
+        #: degrade).  The obs-event counterpart is ``BACKEND_DEGRADE``,
+        #: emitted only when the fallback was not expected (see
+        #: :meth:`run`).
         self.last_degrade_reason: Optional[str] = None
         #: The MOB class :meth:`run` instantiates.  Fault-injection
         #: tests substitute :class:`repro.robust.faults.SabotagedMOB`
@@ -147,9 +149,12 @@ class Machine:
         event bus, timeline recording, bank policies, prefetchers,
         non-section-3.1 schemes, saboteur subclasses); occupancy and
         stall-breakdown collection stay on the kernel.  The fallback is
-        not silent: an attached obs bus receives a structured
-        ``BACKEND_DEGRADE`` event naming the reason, and
-        ``self.last_degrade_reason`` records it either way.
+        not silent: ``self.last_degrade_reason`` records it either way,
+        and an attached obs bus receives a structured
+        ``BACKEND_DEGRADE`` event naming the reason when the policy
+        asked for ``"vectorized"`` explicitly or the trace itself is not
+        expressible.  Under ``"auto"`` a configuration the kernel does
+        not support simply runs the scalar loop, with no event.
 
         Truncation and edge semantics are identical across backends:
         an empty trace finishes at ``cycles == 0`` without touching the
@@ -184,7 +189,14 @@ class Machine:
                     return run(self, trace, max_cycles=max_cycles)
                 except vector.VectorUnsupported as exc:
                     reason = str(exc)  # trace not expressible
-            self._note_backend_degrade(reason)
+                self._note_backend_degrade(reason)
+            elif policy.backend == "vectorized":
+                self._note_backend_degrade(reason)
+            else:
+                # "auto" on a configuration docs/engine.md lists as
+                # scalar-only: the scalar loop is the expected path,
+                # so it is recorded but is no degrade event.
+                self.last_degrade_reason = reason
         elif policy.backend == "vectorized":  # pragma: no cover
             # Resolution itself degraded (numpy missing).
             self._note_backend_degrade("numpy unavailable")

@@ -19,8 +19,8 @@ Examples::
     python -m repro.obs diff obs_base obs_run
     python -m repro.obs export obs_run/events.jsonl -o perfetto.json
     python -m repro.obs trace serve_spans.jsonl -o spans.trace.json
-    python -m repro.obs gate BENCH_serve.json \
-        --baseline benchmarks/baselines/serve_smoke.json
+    python -m repro.obs gate BENCH_throughput.json \
+        --baseline benchmarks/baselines/throughput.json
 """
 
 from __future__ import annotations
@@ -265,8 +265,7 @@ def main(argv: Optional[list] = None) -> int:
 
     p = sub.add_parser("gate",
                        help="append bench history and gate vs baseline")
-    p.add_argument("report", help="BENCH_serve.json or "
-                                  "BENCH_throughput.json")
+    p.add_argument("report", help="BENCH_throughput.json")
     p.add_argument("--history", default="BENCH_history.jsonl",
                    help="append-only trajectory file "
                         "(default BENCH_history.jsonl)")

@@ -59,8 +59,11 @@ class EventKind:
         fell back to the normal path (fields: ``shard``, ``session``,
         ``guard``).
     Backend selection (:meth:`repro.engine.machine.Machine.run`)
-        ``BACKEND_DEGRADE`` — a vectorized run request fell back to the
-        scalar reference loop (fields: ``reason``).
+        ``BACKEND_DEGRADE`` — an explicit ``backend="vectorized"``
+        run fell back to the scalar reference loop, or a trace could
+        not be expressed in the kernel's arrays (fields: ``reason``).
+        A ``backend="auto"`` run of a configuration the kernel does
+        not support emits none.
     """
 
     RENAME = "rename"

@@ -3,9 +3,8 @@
 ``python -m repro.obs gate REPORT`` is the enforcement half of the
 perf trajectory:
 
-1. **extract** the gateable metrics from a bench report
-   (``BENCH_serve.json`` or ``BENCH_throughput.json`` — recognised by
-   shape, see :func:`extract_metrics`);
+1. **extract** the gateable metrics from a ``BENCH_throughput.json``
+   report (:func:`extract_metrics`);
 2. **append** one row — metrics + full provenance (git SHA, hostname,
    python/numpy versions, CPU count) — to ``BENCH_history.jsonl``, the
    append-only trajectory every future PR extends.  A row whose git
@@ -17,9 +16,9 @@ perf trajectory:
    what lets CI (the ``perf-gate`` job) and local runs refuse a change
    that quietly halves throughput.
 
-Metric direction is inferred from the name: throughput-like metrics
-(``*_rps``, ``*uops_per_sec``) regress by going *down*; latency-like
-metrics (``*_us`` quantiles) regress by going *up*.  A baseline is just
+Metric direction is inferred from the name: throughput metrics
+(``*uops_per_sec``) regress by going *down*; time metrics (``*_us``)
+regress by going *up*.  A baseline is just
 ``{"metrics": {name: value}, "tolerance": 0.5}`` — regenerate it with
 ``--update-baseline`` after an intentional perf change.
 """
@@ -37,6 +36,9 @@ from repro.obs.provenance import collect_provenance, same_machine
 HISTORY_SCHEMA = 1
 BASELINE_SCHEMA = 1
 
+#: The one report kind: history rows and baselines record it.
+REPORT_KIND = "throughput"
+
 #: Default relative tolerance: generous, sized for smoke-length runs
 #: whose numbers are noisy, but below 0.5 so a halved throughput (a
 #: 2x regression) always fails; tighten per-baseline for long benches.
@@ -44,131 +46,57 @@ DEFAULT_TOLERANCE = 0.4
 
 
 def metric_higher_is_better(name: str) -> bool:
-    """Gate direction by metric name (module docstring).
-
-    Latency quantiles regress *up*; so do the fleet's loss/error
-    counters, whose baseline is zero — with a zero baseline the
-    lower-is-better rule makes *any* lost request a violation, which
-    is exactly the chaos guarantee the gate exists to hold.
-    """
-    leaf = name.rsplit(".", 1)[-1]
-    if leaf.endswith("_us") or leaf.startswith(("p50", "p90", "p99")):
-        return False
-    if leaf in ("lost", "errors"):
-        return False
-    return True
+    """Gate direction by metric name (module docstring): a ``*_us``
+    time regresses *up*, everything else *down*.  A lower-is-better
+    metric with a zero baseline fails on any nonzero measurement."""
+    return not name.rsplit(".", 1)[-1].endswith("_us")
 
 
 # --------------------------------------------------------------------------
-# Metric extraction from the two bench report shapes
+# Metric extraction
 # --------------------------------------------------------------------------
 
 
 def extract_metrics(report: Mapping[str, object]) -> Dict[str, float]:
-    """Flat gateable metrics from a bench report.
-
-    * ``repro.serve`` reports → ``serve.<side>.throughput_rps`` plus
-      the per-side ``service_us.p50`` when present; schema-3 reports
-      with a ``fleet`` section additionally yield
-      ``fleet.speedup_vs_single_process``,
-      ``fleet.aggregate_steps_rps``, ``fleet.capacity_rps`` and, per
-      scenario, ``fleet.<scenario>.{achieved_rps,lost,errors}`` and
-      ``fleet.<scenario>.latency_us.p99``;
-    * throughput reports → ``schemes.<name>.uops_per_sec``,
-      ``engine.<scheme>.{reference,vectorized}_uops_per_sec`` (the
-      whole-machine replay backends, docs/engine.md),
-      ``fastpath.<sweep>.{reference,vectorized}_uops_per_sec``,
-      ``observability.observed_uops_per_sec`` (the kernel collecting
-      occupancy and the stall breakdown) and
-      ``fleet_snapshot.{encode,persist,truncate}_us`` (one fleet
-      worker snapshot, layer by layer; lower is better).
+    """Flat gateable metrics from a throughput report
+    (``benchmarks/bench_throughput.py``):
+    ``engine.<scheme>.{reference,vectorized}_uops_per_sec`` (the
+    whole-machine replay backends, docs/engine.md),
+    ``fastpath.<sweep>.{reference,vectorized}_uops_per_sec``,
+    ``observability.observed_uops_per_sec`` (the kernel collecting
+    occupancy and the stall breakdown) and
+    ``fleet_snapshot.{encode,persist,truncate}_us`` (one fleet worker
+    snapshot, layer by layer; lower is better).
     """
+    if report.get("benchmark") != REPORT_KIND:
+        raise ValueError(
+            "unrecognised bench report: expected a throughput report "
+            "(benchmark='throughput')")
     out: Dict[str, float] = {}
-    if report.get("bench") == "repro.serve":
-        for side, data in dict(report.get("sides", {})).items():
-            rps = data.get("throughput_rps")
-            if isinstance(rps, (int, float)):
-                out[f"serve.{side}.throughput_rps"] = float(rps)
-            service = data.get("service_us")
-            if isinstance(service, Mapping):
-                p50 = service.get("p50")
-                if isinstance(p50, (int, float)):
-                    out[f"serve.{side}.service_us.p50"] = float(p50)
-        fleet = report.get("fleet")
-        if isinstance(fleet, Mapping):
-            out.update(_extract_fleet_metrics(fleet))
-        return out
-    if report.get("benchmark") == "throughput":
-        for scheme, data in dict(report.get("schemes", {})).items():
-            ups = data.get("uops_per_sec")
-            if isinstance(ups, (int, float)):
-                out[f"schemes.{scheme}.uops_per_sec"] = float(ups)
-        for section in ("engine", "fastpath"):
-            table = report.get(section)
-            if not isinstance(table, Mapping):
-                continue
-            for sweep, data in table.items():
-                if not isinstance(data, Mapping):
-                    continue
-                for key in ("reference_uops_per_sec",
-                            "vectorized_uops_per_sec"):
-                    value = data.get(key)
-                    if isinstance(value, (int, float)):
-                        out[f"{section}.{sweep}.{key}"] = float(value)
-        observability = report.get("observability")
-        if isinstance(observability, Mapping):
-            value = observability.get("observed_uops_per_sec")
-            if isinstance(value, (int, float)):
-                out["observability.observed_uops_per_sec"] = float(value)
-        snapshot = report.get("fleet_snapshot")
-        if isinstance(snapshot, Mapping):
-            for key in ("encode_us", "persist_us", "truncate_us"):
-                value = snapshot.get(key)
-                if isinstance(value, (int, float)):
-                    out[f"fleet_snapshot.{key}"] = float(value)
-        return out
-    raise ValueError(
-        "unrecognised bench report: expected a repro.serve report "
-        "(bench='repro.serve') or a throughput report "
-        "(benchmark='throughput')")
-
-
-def _extract_fleet_metrics(fleet: Mapping[str, object]) -> Dict[str, float]:
-    """Gateable metrics from a schema-3 ``fleet`` bench section.
-
-    The headline is the acceptance comparison (speedup vs the
-    single-process scalar service, in steps/s); each scenario
-    contributes its throughput, its tail latency and its loss/error
-    counters — the latter gate at a zero baseline, so a single lost
-    request under chaos fails the gate.
-    """
-    out: Dict[str, float] = {}
-    for key, name in (("speedup_vs_single_process",
-                       "fleet.speedup_vs_single_process"),
-                      ("aggregate_steps_rps", "fleet.aggregate_steps_rps"),
-                      ("fleet_capacity_rps", "fleet.capacity_rps")):
-        value = fleet.get(key)
-        if isinstance(value, (int, float)):
-            out[name] = float(value)
-    for scenario, data in dict(fleet.get("scenarios", {})).items():
-        if not isinstance(data, Mapping):
+    for section in ("engine", "fastpath"):
+        table = report.get(section)
+        if not isinstance(table, Mapping):
             continue
-        for leaf in ("achieved_rps", "lost", "errors"):
-            value = data.get(leaf)
+        for sweep, data in table.items():
+            if not isinstance(data, Mapping):
+                continue
+            for key in ("reference_uops_per_sec",
+                        "vectorized_uops_per_sec"):
+                value = data.get(key)
+                if isinstance(value, (int, float)):
+                    out[f"{section}.{sweep}.{key}"] = float(value)
+    observability = report.get("observability")
+    if isinstance(observability, Mapping):
+        value = observability.get("observed_uops_per_sec")
+        if isinstance(value, (int, float)):
+            out["observability.observed_uops_per_sec"] = float(value)
+    snapshot = report.get("fleet_snapshot")
+    if isinstance(snapshot, Mapping):
+        for key in ("encode_us", "persist_us", "truncate_us"):
+            value = snapshot.get(key)
             if isinstance(value, (int, float)):
-                out[f"fleet.{scenario}.{leaf}"] = float(value)
-        latency = data.get("latency_us")
-        if isinstance(latency, Mapping):
-            p99 = latency.get("p99")
-            if isinstance(p99, (int, float)):
-                out[f"fleet.{scenario}.latency_us.p99"] = float(p99)
+                out[f"fleet_snapshot.{key}"] = float(value)
     return out
-
-
-def report_kind(report: Mapping[str, object]) -> str:
-    """``"serve"`` for a ``BENCH_serve.json`` report, else ``"throughput"``."""
-    return ("serve" if report.get("bench") == "repro.serve"
-            else "throughput")
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +108,7 @@ def history_row(report: Mapping[str, object],
                 source: str = "") -> Dict[str, object]:
     """One append-only trajectory row for ``BENCH_history.jsonl``.
 
-    Provenance embedded in the report (both bench CLIs record it) is
+    Provenance embedded in the report (the bench records it) is
     reused so the row describes the machine that *ran* the bench, not
     the one running the gate.
     """
@@ -190,7 +118,7 @@ def history_row(report: Mapping[str, object],
     return {
         "schema": HISTORY_SCHEMA,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "kind": report_kind(report),
+        "kind": REPORT_KIND,
         "source": source,
         "provenance": dict(provenance),
         "metrics": extract_metrics(report),
@@ -287,7 +215,7 @@ def make_baseline(report: Mapping[str, object],
     """Snapshot *report*'s gateable metrics as a committable baseline."""
     return {
         "schema": BASELINE_SCHEMA,
-        "kind": report_kind(report),
+        "kind": REPORT_KIND,
         "tolerance": tolerance,
         "provenance": (dict(report["provenance"])
                        if isinstance(report.get("provenance"), Mapping)

@@ -4,10 +4,10 @@ A throughput figure is only comparable to another one when both carry
 enough context to know they ran on the same code and class of machine.
 :func:`collect_provenance` gathers that context once per run — git
 revision, hostname, platform, interpreter and numpy versions, CPU
-count — and every bench report (``BENCH_throughput.json``,
-``BENCH_serve.json``) and every ``BENCH_history.jsonl`` row embeds it
-verbatim, so the ``python -m repro.obs gate`` comparisons can refuse or
-annotate cross-machine deltas instead of silently mixing them.
+count — and the bench report (``BENCH_throughput.json``) and every
+``BENCH_history.jsonl`` row embed it verbatim, so the
+``python -m repro.obs gate`` comparisons can refuse or annotate
+cross-machine deltas instead of silently mixing them.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ under load, and session state snapshots/restores through the
 Past one process, :class:`ServeFleet` consistent-hashes sessions onto
 N worker subprocesses (each a full ``PredictionService``) behind a
 router with a write-ahead log: worker death recovers by snapshot +
-WAL replay, ``resize`` migrates only the sessions whose ring owner
-changes, and :mod:`repro.serve.loadgen` offers Zipf/Poisson open-loop
-traffic to either topology.
+WAL replay, and ``resize`` migrates only the sessions whose ring owner
+changes.  :class:`JsonlHandle` is the pipelined TCP client for a
+``python -m repro.serve serve`` endpoint.
 
 Entry points::
 
@@ -24,25 +24,17 @@ Entry points::
         r = await svc.request(PredictRequest("s", op="step",
                                              pc=0x40, outcome=1))
 
-or from a shell: ``python -m repro.serve serve`` / ``bench``.
+or from a shell: ``python -m repro.serve serve`` / ``top``.
+
+The serve tier's performance is measured end to end by the declared
+benchmark, ``benchmarks/e2e`` (workloads ``serve_phased`` and
+``fleet_steps``).
 """
 
 from repro.serve.batch import ServeInvariantViolation
 from repro.serve.config import ServeConfig
 from repro.serve.fleet import FleetError, ServeFleet
-from repro.serve.handle import (
-    JsonlHandle,
-    ServeHandle,
-    as_handle,
-    close_handle,
-    connect_handle,
-)
-from repro.serve.loadgen import (
-    LoadModel,
-    build_schedule,
-    run_closed_loop,
-    run_open_loop,
-)
+from repro.serve.handle import JsonlHandle
 from repro.serve.net import serve_stdio, serve_tcp
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
@@ -69,11 +61,6 @@ __all__ = [
     "FleetError",
     "HashRing",
     "JsonlHandle",
-    "LoadModel",
-    "ServeHandle",
-    "as_handle",
-    "close_handle",
-    "connect_handle",
     "PredictRequest",
     "PredictResponse",
     "PredictionService",
@@ -83,9 +70,6 @@ __all__ = [
     "ServeFleet",
     "ServeInvariantViolation",
     "WriteAheadLog",
-    "build_schedule",
-    "run_closed_loop",
-    "run_open_loop",
     "load_snapshot",
     "save_snapshot",
     "serve_stdio",

@@ -8,29 +8,23 @@ single in-process service.  With ``--metrics-dir DIR`` a background
 metrics registry into ``DIR/metrics.jsonl`` (one JSON object per
 sample) and ``DIR/metrics.prom`` (Prometheus text exposition).
 
-``python -m repro.serve bench``  — load generator; writes
-``BENCH_serve.json`` comparing scalar per-request execution against
-vectorized micro-batching, with queue-sojourn/service-time separation
-and a telemetry on/off overhead comparison (see
-:mod:`repro.serve.bench`).  ``--fleet`` adds the schema-3 ``fleet``
-section: open-loop Zipf/Poisson scenarios (steady, overload,
-rebalance, kill-a-worker chaos) against an N-process fleet.
-
 ``python -m repro.serve top``    — live terminal dashboard over the
 exported metrics stream (rps, queue depth, batch-size distribution,
 per-stage latency); run it next to a ``serve --metrics-dir`` process.
+
+The serve tier's performance is measured end to end by the declared
+benchmark, ``benchmarks/e2e`` (workloads ``serve_phased`` and
+``fleet_steps``), not from this CLI.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import asyncio
 
-from repro.serve.bench import run_bench, write_report
 from repro.serve.config import ServeConfig
 from repro.serve.service import PredictionService
 
@@ -125,49 +119,6 @@ def main(argv=None) -> int:
                              "manifest); default: a fresh temp dir")
     _add_config_flags(serve_p)
 
-    bench_p = sub.add_parser("bench", help="closed-loop load generator")
-    bench_p.add_argument("--seconds", type=float, default=10.0,
-                         help="wall-clock duration per side")
-    bench_p.add_argument("--clients", type=int, default=64,
-                         help="concurrent closed-loop clients")
-    bench_p.add_argument("--window", type=int, default=1024,
-                         help="pipelined requests outstanding per client "
-                              "(= kernel run length)")
-    bench_p.add_argument("--spec", default="hmp.hybrid",
-                         help="PredictorSpec kind each session serves")
-    bench_p.add_argument("--shards", type=int, default=2)
-    bench_p.add_argument("--max-batch", type=int, default=4096)
-    bench_p.add_argument("--max-delay-us", type=int, default=2000)
-    bench_p.add_argument("--queue-depth", type=int, default=65536)
-    bench_p.add_argument("--backend", default="both",
-                         choices=("both", "reference", "vectorized"),
-                         help="which side(s) to run")
-    bench_p.add_argument("--warmup", type=float, default=0.1,
-                         help="fraction of the run excluded from "
-                              "latency quantiles (cold start)")
-    bench_p.add_argument("--no-telemetry-compare", action="store_true",
-                         help="skip the extra telemetry-off side")
-    bench_p.add_argument("--out", default="BENCH_serve.json",
-                         help="report path")
-    bench_p.add_argument("--fleet", action="store_true",
-                         help="also run the multi-process fleet "
-                              "scenarios (schema-3 `fleet` section)")
-    bench_p.add_argument("--fleet-workers", type=int, default=4,
-                         help="worker processes in the fleet section")
-    bench_p.add_argument("--fleet-seconds", type=float, default=None,
-                         help="wall-clock budget of the fleet section "
-                              "(default: --seconds)")
-    bench_p.add_argument("--fleet-only", action="store_true",
-                         help="run only the fleet section (sides are "
-                              "skipped; implies --fleet)")
-    bench_p.add_argument("--fleet-metrics", default=None,
-                         help="export fleet metrics.jsonl time series "
-                              "to this path during the fleet run")
-    bench_p.add_argument("--fleet-spec", default="hmp.gshare",
-                         help="PredictorSpec kind for the fleet "
-                              "scenarios (compact state recommended; "
-                              "see repro.serve.bench.run_fleet_bench)")
-
     top_p = sub.add_parser("top", help="live metrics dashboard")
     top_p.add_argument("--metrics-dir", default=None,
                        help="directory a serve --metrics-dir writes to")
@@ -191,45 +142,10 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(f"--policy: {exc}")
         return asyncio.run(_run_serve(args))
-    if args.command == "top":
-        from repro.serve.top import run_top
-        path = args.path or os.path.join(args.metrics_dir or ".",
-                                         "metrics.jsonl")
-        return run_top(path, interval_s=args.interval, once=args.once)
-
-    if args.fleet_only:
-        from repro.obs.provenance import collect_provenance
-        from repro.serve.bench import BENCH_SCHEMA
-        import time as _time
-        report = {"bench": "repro.serve", "schema": BENCH_SCHEMA,
-                  "generated_unix": int(_time.time()),
-                  "provenance": collect_provenance(), "sides": {}}
-    else:
-        report = run_bench(
-            seconds=args.seconds, clients=args.clients,
-            window=args.window, spec_kind=args.spec,
-            n_shards=args.shards, max_batch=args.max_batch,
-            max_delay_us=args.max_delay_us,
-            queue_depth=args.queue_depth, sides=args.backend,
-            warmup_frac=args.warmup,
-            telemetry_compare=not args.no_telemetry_compare)
-    if args.fleet or args.fleet_only:
-        from repro.serve.bench import run_fleet_bench
-        fleet_params = ((("history", 7),)
-                        if args.fleet_spec == "hmp.gshare" else ())
-        report["fleet"] = run_fleet_bench(
-            workers=args.fleet_workers,
-            seconds=(args.fleet_seconds if args.fleet_seconds is not None
-                     else args.seconds),
-            clients=args.clients, spec_kind=args.fleet_spec,
-            spec_params=fleet_params,
-            n_shards=args.shards, max_batch=args.max_batch,
-            max_delay_us=args.max_delay_us,
-            metrics_jsonl=args.fleet_metrics)
-    path = write_report(report, args.out)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print(f"wrote {path}", file=sys.stderr)
-    return 0
+    from repro.serve.top import run_top
+    path = args.path or os.path.join(args.metrics_dir or ".",
+                                     "metrics.jsonl")
+    return run_top(path, interval_s=args.interval, once=args.once)
 
 
 if __name__ == "__main__":

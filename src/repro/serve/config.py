@@ -23,7 +23,7 @@ class ServeConfig:
         coalesced ``max_batch`` requests, or ``max_delay_us``
         microseconds after the first request of the batch arrived —
         whichever comes first.  ``max_batch=1`` disables coalescing
-        (the scalar per-request baseline of ``bench``).
+        (one request, one execution).
     queue_depth:
         Bound of each shard's admission queue.  A full queue rejects
         with ``retry-after`` (backpressure) instead of buffering
@@ -44,13 +44,12 @@ class ServeConfig:
     telemetry:
         Whether the service mints per-request spans
         (:class:`repro.obs.trace.RequestTracer`).  Untraced requests
-        cost one integer increment; the acceptance budget for default
-        sampling is <= 5% bench throughput (see ``docs/
-        observability.md``).
+        cost one integer increment; the budget for default sampling
+        is <= 5% of throughput (see ``docs/observability.md``).
     trace_sample_shift:
         Trace 1 request in ``2**trace_sample_shift`` (0 = every
         request).  The default (6 -> 1/64) keeps tracing overhead in
-        the noise at bench rates while still filling the per-stage
+        the noise at high request rates while still filling the per-stage
         histograms within a second.
     trace_keep:
         Finished spans retained in the tracer ring for export.

@@ -8,8 +8,8 @@ consistent-hash :class:`~repro.serve.ring.HashRing`.  The router keeps
 the whole external contract of the single service — ``submit`` /
 ``request`` / ``open_session`` / ``close_session`` / ``stats`` /
 ``metrics_snapshot`` and the async context manager — so the JSONL
-transports (:mod:`repro.serve.net`), the load generator and the bench
-all run unchanged against either.
+transports (:mod:`repro.serve.net`), the tests and the declared
+benchmark (``benchmarks/e2e``) all run unchanged against either.
 
 Durability: the write-ahead rule
 --------------------------------
@@ -48,7 +48,7 @@ owner, ``evict`` to the old — consistent hashing keeps that to
 ``~moved/n``), then persists fresh snapshots and resumes.
 
 Correlation contract: per-session ``seq`` values must be unique (the
-transports and the load generator already do this); replay
+transports already do this); replay
 deduplication tells "already answered" from "still pending" by
 comparing a response's ``seq`` against the session's FIFO of pending
 admissions.
@@ -934,8 +934,8 @@ class ServeFleet:
 
         Worker-side counters (hot-trace hit/abort, backend degrades,
         batch histograms) otherwise only reach the router in the
-        ``bye`` frame at drain; bench and ``serve top`` call this so
-        :meth:`stats` reflects a *running* fleet."""
+        ``bye`` frame at drain; call this (the declared benchmark
+        does) so :meth:`stats` reflects a *running* fleet."""
         for worker in list(self.workers.values()):
             if not worker.alive:
                 continue

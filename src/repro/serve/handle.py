@@ -1,28 +1,25 @@
-"""ServeHandle: one client interface for every deployment topology.
+"""JsonlHandle: the pipelined TCP client for ``repro.serve serve``.
 
-:class:`ServeHandle` is the one client surface, shared by in-process
-submission against a :class:`~repro.serve.service.PredictionService` /
-:class:`~repro.serve.fleet.ServeFleet` object and the JSONL TCP
-transport.  It is a protocol (structural, ``runtime_checkable``):
-anything that can open sessions, submit data requests as futures, and
-await responses.  The service and the fleet already satisfy it natively;
-:class:`JsonlHandle` lifts the JSONL TCP transport to the same shape
-(pipelined, futures correlated by ``(session_id, seq)``), so
-:func:`repro.serve.loadgen.run_open_loop` — and anything else written
-against the duck type — drives a remote server exactly like a local
-object.
+:class:`JsonlHandle` speaks the JSONL transport with the same surface
+as in-process submission against a
+:class:`~repro.serve.service.PredictionService` or
+:class:`~repro.serve.fleet.ServeFleet`: ``open_session``,
+``close_session``, ``submit`` (returns a future) and ``request``.
+Any number of requests stay in flight, and each reply resolves the
+future its ``(session_id, seq)`` names.
 
 ::
 
-    handle = await connect_handle("127.0.0.1", 7073)   # remote
-    handle = as_handle(service_or_fleet)               # local (no-op)
-    report = await run_open_loop(handle, model)
-    await close_handle(handle)
+    handle = await JsonlHandle.connect("127.0.0.1", 7199)
+    await handle.open_session("s", spec_for("hmp.hybrid"))
+    response = await handle.submit(PredictRequest("s", op="step",
+                                                  pc=0x40, outcome=1))
+    await handle.aclose()
 """
 
 from __future__ import annotations
 
-from typing import Deque, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Deque, Dict, Optional, Tuple
 
 import asyncio
 from collections import deque
@@ -35,30 +32,8 @@ from repro.serve.protocol import (
 )
 
 
-@runtime_checkable
-class ServeHandle(Protocol):
-    """The client surface bench/loadgen/tests target.
-
-    :class:`~repro.serve.service.PredictionService` and
-    :class:`~repro.serve.fleet.ServeFleet` conform as-is (``submit``
-    returns an already-routed future; rejections resolve it in-band);
-    :class:`JsonlHandle` conforms over a socket.
-    """
-
-    async def open_session(self, session_id: str,
-                           spec: PredictorSpec) -> None: ...
-
-    async def close_session(self, session_id: str) -> Optional[int]: ...
-
-    def submit(self, request: PredictRequest
-               ) -> "asyncio.Future[PredictResponse]": ...
-
-    async def request(self, request: PredictRequest) -> PredictResponse: ...
-
-
 class JsonlHandle:
-    """A pipelined JSONL TCP client speaking the :class:`ServeHandle`
-    protocol.
+    """A pipelined JSONL TCP client.
 
     The handle keeps any number of requests in flight: responses
     come back in completion order and are matched to their futures by ``(session_id, seq)`` —
@@ -90,7 +65,7 @@ class JsonlHandle:
             handle._read_loop(), name="repro-serve-handle-pump")
         return handle
 
-    # -- the ServeHandle surface ----------------------------------------
+    # -- the client surface ----------------------------------------------
 
     def submit(self, request: PredictRequest
                ) -> "asyncio.Future[PredictResponse]":
@@ -204,30 +179,3 @@ class JsonlHandle:
         except (ConnectionError, RuntimeError):  # pragma: no cover
             pass
 
-
-def as_handle(target) -> ServeHandle:
-    """Adapt ``target`` to a :class:`ServeHandle`.
-
-    Services, fleets and :class:`JsonlHandle` instances pass through
-    unchanged (they already conform); anything else is a type error —
-    loudly, at adaptation time, not deep inside a load loop.
-    """
-    if isinstance(target, ServeHandle):
-        return target
-    raise TypeError(
-        f"{type(target).__name__} does not provide the ServeHandle "
-        f"surface (open_session/close_session/submit/request)")
-
-
-async def connect_handle(host: str, port: int) -> JsonlHandle:
-    """Open a :class:`JsonlHandle` to a ``repro.serve serve`` TCP
-    endpoint."""
-    return await JsonlHandle.connect(host, port)
-
-
-async def close_handle(handle: ServeHandle) -> None:
-    """Release a handle's client-side resources (no-op for local
-    service/fleet objects, which own their lifecycle)."""
-    aclose = getattr(handle, "aclose", None)
-    if aclose is not None:
-        await aclose()

@@ -19,7 +19,7 @@ Usage::
 
 ``submit`` is the non-blocking half: it returns a future (already
 resolved with a ``retry-after`` rejection when the shard queue is
-full), which is what pipelined clients and the bench loop build on.
+full), which is what pipelined clients build on.
 """
 
 from __future__ import annotations

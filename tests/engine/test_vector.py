@@ -388,6 +388,31 @@ class TestRoutingAndFallback:
         assert result.retired_uops == 1 and result.timeline is not None
         assert m.last_degrade_reason is not None
 
+    @needs_numpy
+    def test_auto_fallback_on_a_listed_reason_emits_no_event(
+            self, monkeypatch):
+        # An observed default run can never take the kernel (the bus
+        # is a documented fallback reason): recorded, but no event.
+        from repro.obs import EventBus, instrument
+        from repro.obs.events import EventKind
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        m = Machine(scheme=make_scheme("inclusive"))
+        bus = instrument(m, EventBus())
+        m.run(MicroTrace().alu(dst=1).build("one"),
+              policy=ExecutionPolicy())
+        assert m.last_degrade_reason == "event bus attached"
+        assert EventKind.BACKEND_DEGRADE not in bus.counts
+
+    @needs_numpy
+    def test_explicit_vectorized_fallback_emits_an_event(self):
+        from repro.obs import EventBus, instrument
+        from repro.obs.events import EventKind
+        m = Machine(scheme=make_scheme("inclusive"))
+        bus = instrument(m, EventBus())
+        m.run(MicroTrace().alu(dst=1).build("one"), policy=VECTORIZED)
+        assert m.last_degrade_reason == "event bus attached"
+        assert bus.counts[EventKind.BACKEND_DEGRADE] == 1
+
     def test_scheme_subclass_falls_back(self):
         from repro.engine import vector
 

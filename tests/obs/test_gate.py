@@ -19,51 +19,48 @@ from repro.obs.gate import (
     read_history,
 )
 
-SERVE_REPORT = {
-    "bench": "repro.serve",
-    "schema": 2,
+#: A throughput report that embeds its provenance, as
+#: ``benchmarks/bench_throughput.py`` writes it.
+THROUGHPUT_REPORT = {
+    "benchmark": "throughput",
     "provenance": {"git_rev": "abc1234", "hostname": "bench-host",
                    "python": "3.11.0", "numpy": "1.26.0",
                    "cpu_count": 8, "platform": "Linux", "machine": "x86_64"},
-    "sides": {
-        "scalar": {"throughput_rps": 30000.0,
-                   "service_us": {"stage": "predict", "p50": 25.0}},
-        "vectorized": {"throughput_rps": 110000.0,
-                       "service_us": {"stage": "kernel", "p50": 1000.0}},
-    },
-}
-
-THROUGHPUT_REPORT = {
-    "benchmark": "throughput",
-    "schemes": {"traditional": {"uops_per_sec": 50000.0},
-                "perfect": {"uops_per_sec": 60000.0}},
+    "engine": {"traditional": {"reference_uops_per_sec": 50000.0,
+                               "vectorized_uops_per_sec": 110000.0,
+                               "speedup": 2.2}},
     "fastpath": {"hmp_hybrid": {"reference_uops_per_sec": 1e6,
                                 "vectorized_uops_per_sec": 9e6,
                                 "speedup": 9.0}},
+    "fleet_snapshot": {"sessions": 128, "encode_us": 1000.0,
+                       "persist_us": 500.0, "truncate_us": 250.0},
 }
+
+#: The same report without provenance: the gate collects it.
+BARE_REPORT = {key: value for key, value in THROUGHPUT_REPORT.items()
+               if key != "provenance"}
 
 
 class TestDirection:
     def test_throughput_metrics_are_higher_better(self):
-        assert metric_higher_is_better("serve.scalar.throughput_rps")
-        assert metric_higher_is_better("schemes.perfect.uops_per_sec")
+        assert metric_higher_is_better(
+            "engine.perfect.vectorized_uops_per_sec")
+        assert metric_higher_is_better(
+            "observability.observed_uops_per_sec")
 
     def test_latency_metrics_are_lower_better(self):
-        assert not metric_higher_is_better("serve.scalar.service_us.p50")
+        assert not metric_higher_is_better("fleet_snapshot.encode_us")
         assert not metric_higher_is_better("trace.total_us")
 
 
 class TestExtraction:
-    def test_serve_report(self):
-        metrics = extract_metrics(SERVE_REPORT)
-        assert metrics["serve.vectorized.throughput_rps"] == 110000.0
-        assert metrics["serve.scalar.service_us.p50"] == 25.0
-
     def test_throughput_report(self):
         metrics = extract_metrics(THROUGHPUT_REPORT)
-        assert metrics["schemes.traditional.uops_per_sec"] == 50000.0
+        assert metrics["engine.traditional.vectorized_uops_per_sec"] \
+            == 110000.0
         assert metrics["fastpath.hmp_hybrid.vectorized_uops_per_sec"] \
             == 9e6
+        assert not any(k.endswith("speedup") for k in metrics)
 
     def test_observed_kernel_throughput(self):
         report = dict(THROUGHPUT_REPORT, observability={
@@ -88,22 +85,26 @@ class TestExtraction:
     def test_unknown_report_raises(self):
         with pytest.raises(ValueError):
             extract_metrics({"something": "else"})
+        # Only throughput reports are gate inputs.
+        with pytest.raises(ValueError):
+            extract_metrics({"bench": "repro.serve", "sides": {}})
 
 
 class TestHistory:
     def test_rows_carry_full_provenance(self, tmp_path):
         path = str(tmp_path / "BENCH_history.jsonl")
-        append_history(path, history_row(SERVE_REPORT, source="a.json"))
         append_history(path, history_row(THROUGHPUT_REPORT,
-                                         source="b.json"))
+                                         source="a.json"))
+        append_history(path, history_row(BARE_REPORT, source="b.json"))
         rows = read_history(path)
         assert len(rows) == 2
-        # The serve report embeds provenance: the row must describe the
-        # *bench* machine, not whoever ran the gate.
+        # An embedded provenance: the row must describe the *bench*
+        # machine, not whoever ran the gate.
         assert rows[0]["provenance"]["hostname"] == "bench-host"
         assert rows[0]["provenance"]["git_rev"] == "abc1234"
-        assert rows[0]["kind"] == "serve" and rows[0]["source"] == "a.json"
-        # The throughput report has none: collected at gate time.
+        assert (rows[0]["kind"] == "throughput"
+                and rows[0]["source"] == "a.json")
+        # None embedded: collected at gate time.
         for key in ("git_rev", "hostname", "python", "numpy",
                     "cpu_count"):
             assert key in rows[1]["provenance"]
@@ -114,46 +115,54 @@ class TestHistory:
 
 class TestCompare:
     def test_identical_rerun_passes(self):
-        baseline = make_baseline(SERVE_REPORT)
-        assert compare(extract_metrics(SERVE_REPORT), baseline) == []
+        baseline = make_baseline(THROUGHPUT_REPORT)
+        assert baseline["kind"] == "throughput"
+        assert compare(extract_metrics(THROUGHPUT_REPORT), baseline) == []
 
     def test_2x_throughput_regression_fails(self):
-        baseline = make_baseline(SERVE_REPORT, tolerance=0.4)
-        slow = copy.deepcopy(SERVE_REPORT)
-        slow["sides"]["vectorized"]["throughput_rps"] /= 2.0
+        baseline = make_baseline(THROUGHPUT_REPORT, tolerance=0.4)
+        slow = copy.deepcopy(THROUGHPUT_REPORT)
+        slow["engine"]["traditional"]["vectorized_uops_per_sec"] /= 2.0
         violations = compare(extract_metrics(slow), baseline)
         assert [v.metric for v in violations] == \
-            ["serve.vectorized.throughput_rps"]
+            ["engine.traditional.vectorized_uops_per_sec"]
         assert "-50.0%" in str(violations[0])
 
     def test_2x_latency_regression_fails(self):
-        baseline = make_baseline(SERVE_REPORT, tolerance=0.4)
-        slow = copy.deepcopy(SERVE_REPORT)
-        slow["sides"]["scalar"]["service_us"]["p50"] *= 2.0
+        baseline = make_baseline(THROUGHPUT_REPORT, tolerance=0.4)
+        slow = copy.deepcopy(THROUGHPUT_REPORT)
+        slow["fleet_snapshot"]["persist_us"] *= 2.0
         violations = compare(extract_metrics(slow), baseline)
         assert [v.metric for v in violations] == \
-            ["serve.scalar.service_us.p50"]
+            ["fleet_snapshot.persist_us"]
+
+    def test_zero_baseline_fails_on_any_rise(self):
+        baseline = make_baseline(THROUGHPUT_REPORT)
+        baseline["metrics"]["fleet_snapshot.truncate_us"] = 0.0
+        violations = compare(extract_metrics(THROUGHPUT_REPORT), baseline)
+        assert [v.metric for v in violations] == \
+            ["fleet_snapshot.truncate_us"]
 
     def test_within_tolerance_passes(self):
-        baseline = make_baseline(SERVE_REPORT, tolerance=0.5)
-        slightly = copy.deepcopy(SERVE_REPORT)
-        slightly["sides"]["vectorized"]["throughput_rps"] *= 0.7
+        baseline = make_baseline(THROUGHPUT_REPORT, tolerance=0.5)
+        slightly = copy.deepcopy(THROUGHPUT_REPORT)
+        slightly["engine"]["traditional"]["vectorized_uops_per_sec"] *= 0.7
         assert compare(extract_metrics(slightly), baseline) == []
 
     def test_per_metric_override_wins(self):
-        baseline = make_baseline(SERVE_REPORT, tolerance=0.5)
+        baseline = make_baseline(THROUGHPUT_REPORT, tolerance=0.5)
         baseline["per_metric"] = {
-            "serve.vectorized.throughput_rps": 0.1}
-        slightly = copy.deepcopy(SERVE_REPORT)
-        slightly["sides"]["vectorized"]["throughput_rps"] *= 0.7
+            "engine.traditional.vectorized_uops_per_sec": 0.1}
+        slightly = copy.deepcopy(THROUGHPUT_REPORT)
+        slightly["engine"]["traditional"]["vectorized_uops_per_sec"] *= 0.7
         violations = compare(extract_metrics(slightly), baseline)
         assert [v.metric for v in violations] == \
-            ["serve.vectorized.throughput_rps"]
+            ["engine.traditional.vectorized_uops_per_sec"]
 
     def test_new_metric_without_baseline_is_ignored(self):
-        baseline = make_baseline(SERVE_REPORT)
-        metrics = extract_metrics(SERVE_REPORT)
-        metrics["serve.new_side.throughput_rps"] = 1.0
+        baseline = make_baseline(THROUGHPUT_REPORT)
+        metrics = extract_metrics(THROUGHPUT_REPORT)
+        metrics["engine.new_scheme.vectorized_uops_per_sec"] = 1.0
         assert compare(metrics, baseline) == []
 
     def test_violation_str_is_informative(self):
@@ -171,7 +180,7 @@ class TestGateCli:
 
     def test_first_run_creates_baseline_then_identical_passes(
             self, tmp_path, capsys):
-        report = self._write(tmp_path, "r.json", SERVE_REPORT)
+        report = self._write(tmp_path, "r.json", THROUGHPUT_REPORT)
         history = str(tmp_path / "hist.jsonl")
         baseline = str(tmp_path / "base.json")
         assert main(["gate", report, "--history", history,
@@ -185,10 +194,10 @@ class TestGateCli:
 
     def test_synthetic_2x_regression_exits_nonzero(self, tmp_path,
                                                    capsys):
-        report = self._write(tmp_path, "good.json", SERVE_REPORT)
-        slow_report = copy.deepcopy(SERVE_REPORT)
-        for side in slow_report["sides"].values():
-            side["throughput_rps"] /= 2.0
+        report = self._write(tmp_path, "good.json", THROUGHPUT_REPORT)
+        slow_report = copy.deepcopy(THROUGHPUT_REPORT)
+        for sweep in slow_report["engine"].values():
+            sweep["vectorized_uops_per_sec"] /= 2.0
         slow = self._write(tmp_path, "slow.json", slow_report)
         history = str(tmp_path / "hist.jsonl")
         baseline = str(tmp_path / "base.json")
@@ -197,19 +206,19 @@ class TestGateCli:
         assert main(["gate", slow, "--history", history,
                      "--baseline", baseline, "--tolerance", "0.3"]) == 1
         out = capsys.readouterr().out
-        assert "throughput_rps" in out
+        assert "vectorized_uops_per_sec" in out
         rows = read_history(history)
         assert len(rows) == 2  # failures still append to the trajectory
 
     def test_history_only_mode_without_baseline(self, tmp_path, capsys):
-        report = self._write(tmp_path, "r.json", THROUGHPUT_REPORT)
+        report = self._write(tmp_path, "r.json", BARE_REPORT)
         history = str(tmp_path / "hist.jsonl")
         assert main(["gate", report, "--history", history]) == 0
         assert "history-only" in capsys.readouterr().out
         assert len(read_history(history)) == 1
 
     def test_no_append_leaves_history_untouched(self, tmp_path):
-        report = self._write(tmp_path, "r.json", SERVE_REPORT)
+        report = self._write(tmp_path, "r.json", THROUGHPUT_REPORT)
         history = str(tmp_path / "hist.jsonl")
         baseline = str(tmp_path / "base.json")
         assert main(["gate", report, "--history", history,
@@ -226,7 +235,7 @@ class TestGateCli:
         assert len(rows) == 1 and rows[0]["source"] == "r.json"
         # A different metric value is a new row.
         changed = copy.deepcopy(THROUGHPUT_REPORT)
-        changed["schemes"]["perfect"]["uops_per_sec"] = 61000.0
+        changed["engine"]["traditional"]["vectorized_uops_per_sec"] = 1e5
         self._write(tmp_path, "r.json", changed)
         assert main(["gate", report, "--history", history]) == 0
         assert len(read_history(history)) == 2
@@ -235,7 +244,7 @@ class TestGateCli:
                                                       capsys):
         repo = tmp_path / "repo"
         repo.mkdir()
-        outside = self._write(tmp_path, "ht_only.json", SERVE_REPORT)
+        outside = self._write(tmp_path, "ht_only.json", THROUGHPUT_REPORT)
         history = str(repo / "hist.jsonl")
         assert main(["gate", outside, "--history", history]) == 2
         assert "outside" in capsys.readouterr().err

@@ -12,6 +12,8 @@ from repro.serve.__main__ import main
     ["serve", "--backend", "vectorized"],
     # Hot-trace runs in every shard; its removed switch is unknown.
     ["serve", "--policy", '{"hottrace": true}'],
+    # The serve tier is benchmarked by benchmarks/e2e, not this CLI.
+    ["bench"],
 ])
 def test_serve_usage_error_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -1,11 +1,9 @@
-"""ServeHandle: one client surface across topologies.
+"""JsonlHandle: the pipelined TCP client.
 
-Conformance (service / fleet / JsonlHandle all satisfy the protocol),
-the ``as_handle`` adaptation contract, and the TCP handle's pipelining
-+ teardown semantics: futures correlated by ``(session_id, seq)``,
-responses identical to in-process submission, and a lost server
-resolving every in-flight future *in-band* instead of stranding
-awaiters.
+Pipelining and teardown semantics: futures correlated by
+``(session_id, seq)``, responses identical to in-process submission,
+and a lost server resolving every in-flight future *in-band* instead
+of stranding awaiters.
 """
 
 import asyncio
@@ -15,16 +13,11 @@ import pytest
 from repro.api import spec_for
 from repro.serve import (
     ERR_INTERNAL,
+    JsonlHandle,
     PredictRequest,
     PredictionService,
     ServeConfig,
-    ServeHandle,
-    as_handle,
-    close_handle,
-    connect_handle,
 )
-from repro.serve.fleet import ServeFleet
-from repro.serve.loadgen import LoadModel, run_open_loop
 from repro.serve.net import serve_tcp
 
 SPEC = spec_for("binary.gshare", history=4)
@@ -41,30 +34,6 @@ async def _tcp_pair(service):
     return server, port
 
 
-# -- conformance ----------------------------------------------------------
-
-
-def test_service_and_fleet_conform(tmp_path):
-    service = PredictionService(ServeConfig(n_shards=1))
-    fleet = ServeFleet(n_workers=1, state_dir=str(tmp_path))
-    assert isinstance(service, ServeHandle)
-    assert isinstance(fleet, ServeHandle)
-    assert as_handle(service) is service
-    assert as_handle(fleet) is fleet
-
-
-def test_as_handle_rejects_non_handles():
-    with pytest.raises(TypeError, match="ServeHandle"):
-        as_handle(object())
-    with pytest.raises(TypeError, match="ServeHandle"):
-        as_handle("127.0.0.1:7199")
-
-
-def test_close_handle_is_a_noop_for_local_objects():
-    service = PredictionService(ServeConfig(n_shards=1))
-    run(close_handle(service))  # no aclose attribute: nothing to do
-
-
 # -- the TCP handle -------------------------------------------------------
 
 
@@ -72,9 +41,7 @@ def test_jsonl_handle_pipelines_and_matches_in_process():
     async def main():
         async with PredictionService(ServeConfig(n_shards=2)) as service:
             server, port = await _tcp_pair(service)
-            handle = await connect_handle(port=port, host="127.0.0.1")
-            assert isinstance(handle, ServeHandle)
-            assert as_handle(handle) is handle
+            handle = await JsonlHandle.connect("127.0.0.1", port)
             try:
                 await handle.open_session("remote", SPEC)
                 # In-process twin session for the oracle.
@@ -94,7 +61,7 @@ def test_jsonl_handle_pipelines_and_matches_in_process():
                 assert await handle.close_session("remote") == 64
                 await handle.ping()
             finally:
-                await close_handle(handle)
+                await handle.aclose()
                 server.close()
                 await server.wait_closed()
     run(main())
@@ -104,35 +71,14 @@ def test_handle_open_session_surfaces_server_errors():
     async def main():
         async with PredictionService(ServeConfig(n_shards=1)) as service:
             server, port = await _tcp_pair(service)
-            handle = await connect_handle("127.0.0.1", port)
+            handle = await JsonlHandle.connect("127.0.0.1", port)
             try:
                 await handle.open_session("s", SPEC)
                 with pytest.raises(RuntimeError, match="open"):
                     await handle.open_session(
                         "s", spec_for("binary.gshare", history=6))
             finally:
-                await close_handle(handle)
-                server.close()
-                await server.wait_closed()
-    run(main())
-
-
-def test_loadgen_drives_a_remote_handle():
-    async def main():
-        async with PredictionService(ServeConfig(n_shards=2)) as service:
-            server, port = await _tcp_pair(service)
-            handle = await connect_handle("127.0.0.1", port)
-            try:
-                model = LoadModel(n_sessions=8, spec_kind="binary.gshare",
-                                  spec_params=(("history", 4),),
-                                  rate_rps=2000.0, seconds=0.3,
-                                  clients=4, seed=7)
-                report = await run_open_loop(as_handle(handle), model)
-                assert report["ok"] > 0
-                assert report["lost"] == 0
-                assert report["errors"] == 0
-            finally:
-                await close_handle(handle)
+                await handle.aclose()
                 server.close()
                 await server.wait_closed()
     run(main())
@@ -143,7 +89,7 @@ def test_lost_server_resolves_pending_in_band():
         service = PredictionService(ServeConfig(n_shards=1))
         await service.start()
         server, port = await _tcp_pair(service)
-        handle = await connect_handle("127.0.0.1", port)
+        handle = await JsonlHandle.connect("127.0.0.1", port)
         await handle.open_session("s", SPEC)
         # Drop the server out from under the handle.
         server.close()
@@ -157,7 +103,7 @@ def test_lost_server_resolves_pending_in_band():
         assert not response.ok
         assert response.error == "closed" or response.error.startswith(
             ERR_INTERNAL)
-        await close_handle(handle)
+        await handle.aclose()
     run(main())
 
 
@@ -165,7 +111,6 @@ def test_unmatched_replies_are_counted_and_do_not_skew_in_flight():
     # A duplicate or misaddressed server reply must neither strand the
     # accounting nor be silently dropped: it is counted, and the
     # in-flight gauge (derived from the pending map) stays exact.
-    from repro.serve.handle import JsonlHandle
     from repro.serve.protocol import PredictResponse
 
     async def main():
@@ -201,7 +146,7 @@ def test_unmatched_replies_are_counted_and_do_not_skew_in_flight():
             assert handle.unmatched == 2
             assert handle.in_flight == 0
         finally:
-            await close_handle(handle)
+            await handle.aclose()
             server.close()
             await server.wait_closed()
     run(main())
@@ -211,8 +156,8 @@ def test_submit_after_close_is_in_band():
     async def main():
         async with PredictionService(ServeConfig(n_shards=1)) as service:
             server, port = await _tcp_pair(service)
-            handle = await connect_handle("127.0.0.1", port)
-            await close_handle(handle)
+            handle = await JsonlHandle.connect("127.0.0.1", port)
+            await handle.aclose()
             response = await handle.submit(PredictRequest(
                 "s", op="step", pc=0x40, outcome=1, seq=0))
             assert not response.ok
