@@ -1,4 +1,4 @@
-"""Unified predictor construction: specs, registry, protocol adapters.
+"""Unified predictor construction: specs, registry, execution policy.
 
 The one construction path every consumer shares::
 
@@ -13,17 +13,19 @@ The one construction path every consumer shares::
 * :mod:`repro.api.spec` — :class:`PredictorSpec` and the registry core;
 * :mod:`repro.api.policy` — :class:`ExecutionPolicy`, the frozen
   backend / invariant-mode bundle accepted by
-  ``Machine.run``, the serve tier and the bench CLIs;
+  ``Machine.run``, the serve tier and the bench CLIs, and
+  :func:`shadow_check`, the oracle it arms;
 * :mod:`repro.api.registry` — the kind catalogue (importing this
-  package registers every kind);
-* :mod:`repro.api.adapters` — family APIs projected onto the
-  :class:`~repro.common.types.LoadPredictor` protocol.
+  package registers every kind).
 """
 
 from repro.api.policy import (
     ExecutionPolicy,
     INVARIANT_MODES,
     POLICY_BACKENDS,
+    ShadowMismatch,
+    canonical_state,
+    shadow_check,
 )
 from repro.api.spec import (
     PredictorSpec,
@@ -37,17 +39,14 @@ from repro.api.spec import (
     spec_for,
 )
 from repro.api import registry as _registry  # noqa: F401 - populates kinds
-from repro.api.adapters import (
-    BankLoadPredictor,
-    CollisionLoadPredictor,
-    HitMissLoadPredictor,
-    as_load_predictor,
-)
 
 __all__ = [
     "ExecutionPolicy",
     "INVARIANT_MODES",
     "POLICY_BACKENDS",
+    "ShadowMismatch",
+    "canonical_state",
+    "shadow_check",
     "PredictorSpec",
     "RegisteredKind",
     "SERVABLE_FAMILIES",
@@ -57,8 +56,4 @@ __all__ = [
     "register",
     "registered_kinds",
     "spec_for",
-    "BankLoadPredictor",
-    "CollisionLoadPredictor",
-    "HitMissLoadPredictor",
-    "as_load_predictor",
 ]

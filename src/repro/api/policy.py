@@ -22,13 +22,20 @@ read in exactly one place each: ``backend="auto"`` resolves through
 ``check_invariants="auto"`` consults ``REPRO_CHECK_INVARIANTS`` in
 :meth:`ExecutionPolicy.invariants_active`.  A default-constructed
 policy therefore runs the kernels wherever numpy is importable.
+
+The oracle it arms is :func:`shadow_check`, which every fast path (the
+engine kernel, serve kernel windows, hot-trace hits, the Figure
+9/10/12 replays) calls when :meth:`ExecutionPolicy.invariants_active`
+says so, and never otherwise.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 #: Accepted ``backend`` values.  ``"auto"`` defers to ``REPRO_BACKEND``
 #: and then to ``"vectorized"`` at use time.
@@ -112,3 +119,113 @@ class ExecutionPolicy:
     @classmethod
     def from_json(cls, text: str) -> "ExecutionPolicy":
         return cls.from_json_dict(json.loads(text))
+
+
+# --------------------------------------------------------------------------
+# The shadow oracle
+# --------------------------------------------------------------------------
+
+
+class ShadowMismatch(AssertionError):
+    """A fast path diverged from its scalar reference — raised only by
+    :func:`shadow_check`.  Always a bug."""
+
+
+def shadow_check(subject: object, fast: Callable, reference: Callable,
+                 what: str, observe: Optional[Callable] = None,
+                 state: Optional[Callable] = None) -> object:
+    """Run ``fast`` on ``subject`` and demand it match the reference.
+
+    ``subject`` (a machine, a predictor) is deep-copied first;
+    ``reference`` runs on the copy and ``fast`` on the original.  Two
+    things must then agree:
+
+    * the observed results — ``observe(value)`` of each side's return
+      value (default: the value itself; array lanes compare as lists,
+      floats exactly);
+    * the post-run state — the canonical pickle of ``state(subject,
+      value)`` (default: the subject).  A hook returning None, or an
+      object that does not pickle, compares results only.
+
+    Raises :class:`ShadowMismatch` naming ``what`` and the first
+    differing field or index; otherwise returns ``fast``'s value.
+    """
+    shadow = copy.deepcopy(subject)
+    expected = reference(shadow)
+    actual = fast(subject)
+    see = observe or (lambda value: value)
+    where = _first_difference(_plain(see(expected)), _plain(see(actual)))
+    if where is not None:
+        raise ShadowMismatch(
+            f"{what} diverged from the scalar reference at {where}")
+    post = state or (lambda obj, value: obj)
+    ref_obj, fast_obj = post(shadow, expected), post(subject, actual)
+    ref_state, fast_state = canonical_state(ref_obj), canonical_state(fast_obj)
+    if (ref_state is not None and fast_state is not None
+            and ref_state != fast_state):
+        raise ShadowMismatch(
+            f"{what} left state diverging from the scalar reference "
+            f"(field {_differing_field(ref_obj, fast_obj)})")
+    return actual
+
+
+def _plain(value: object) -> object:
+    """Array lanes (anything with ``tolist``) as lists, in tuples too,
+    so the comparison needs no numpy."""
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
+def _first_difference(expected: object, actual: object,
+                      path: str = "result") -> Optional[str]:
+    """Where ``actual`` first differs from ``expected`` (a path such
+    as ``result['cycles']`` or ``result[0][5]``), or None."""
+    if expected == actual:
+        return None
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        pairs = ((k, expected.get(k), actual.get(k))
+                 for k in sorted(set(expected) | set(actual), key=repr))
+    elif isinstance(expected, (list, tuple)) and isinstance(actual,
+                                                            (list, tuple)):
+        pairs = zip(range(len(expected)), expected, actual)
+    else:
+        return f"{path} (reference {expected!r}, fast {actual!r})"
+    for key, e, a in pairs:
+        found = _first_difference(e, a, f"{path}[{key!r}]")
+        if found is not None:
+            return found
+    return (f"{path} (reference {type(expected).__name__} of "
+            f"{len(expected)}, fast {type(actual).__name__} of {len(actual)})")
+
+
+def canonical_state(obj: object) -> Optional[bytes]:
+    """``obj``'s pickle normalized through one ``loads``/``dumps``
+    round trip; None for None or an object that does not pickle.
+
+    Raw pickles are not byte-canonical across lineages: a freshly
+    constructed object shares interned strings that a rehydrated or
+    deep-copied one does not, so two logically identical states can
+    pickle to different bytes (different memo back-references).  One
+    round trip erases the interning-induced sharing, after which the
+    encoding is a fixed point."""
+    if obj is None:
+        return None
+    try:
+        raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+    return pickle.dumps(pickle.loads(raw), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _differing_field(expected: object, actual: object) -> str:
+    """The first top-level attribute whose canonical state differs,
+    or ``"?"`` when the objects expose no attribute dict."""
+    e = getattr(expected, "__dict__", None)
+    a = getattr(actual, "__dict__", None)
+    if e is None or a is None:
+        return "?"
+    for name in sorted(set(e) | set(a)):
+        if canonical_state(e.get(name)) != canonical_state(a.get(name)):
+            return repr(name)
+    return "?"

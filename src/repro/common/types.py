@@ -144,7 +144,7 @@ def is_store_data(uop: Uop) -> bool:
 
 @runtime_checkable
 class LoadPredictor(Protocol):
-    """The one shape every per-load predictor reduces to.
+    """The one shape of a binary per-load predictor.
 
     ``predict(pc)`` answers a binary question about the load at ``pc``
     with a :class:`~repro.predictors.base.Prediction`; ``update(pc,
@@ -152,8 +152,9 @@ class LoadPredictor(Protocol):
     order (global-history predictors rely on it).  What the binary
     outcome *means* is family-specific — "will miss" for hit-miss
     predictors, "will collide" for CHTs, "goes to bank 1" for two-bank
-    predictors — and the adapters of :mod:`repro.api.adapters` bring
-    each family's native API onto this protocol.
+    predictors.  Binary predictors satisfy it verbatim; the other
+    families keep their native APIs, which
+    :func:`repro.serve.batch.apply_step` projects per family.
 
     The protocol is structural and ``runtime_checkable``:
     ``isinstance(obj, LoadPredictor)`` verifies the two methods exist

@@ -170,8 +170,9 @@ class Machine:
         oracle (strict mode) — the CI lever for "the whole suite runs
         violation-free".  On the vectorized backend the oracle
         additionally shadow-replays the trace through the scalar path
-        and demands result equality
-        (:class:`repro.engine.vector.BackendMismatch`).
+        and demands equal results and machine state
+        (:func:`repro.api.policy.shadow_check`, raising
+        :class:`repro.api.policy.ShadowMismatch`).
         """
         if policy is None:
             from repro.api.policy import ExecutionPolicy
@@ -204,12 +205,7 @@ class Machine:
             # Lazy import: repro.robust imports the engine at module
             # level, so the engine must not import it back eagerly.
             from repro.robust.invariants import checked_run
-            # The oracle re-enters run() with its own bus attached, which
-            # resets the degrade record; keep this request's.
-            reason = self.last_degrade_reason
-            result, _ = checked_run(self, trace, max_cycles=max_cycles)
-            self.last_degrade_reason = reason
-            return result
+            return checked_run(self, trace, max_cycles=max_cycles)[0]
         return self._run_reference(trace, max_cycles)
 
     def _note_backend_degrade(self, reason: str) -> None:

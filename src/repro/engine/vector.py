@@ -14,8 +14,8 @@ Bit-identity with the reference backend is the contract (docs/engine.md
 derives why the event order reproduces the scalar scan order exactly);
 ``tests/engine/test_vector.py`` pins it over the scheme × profile
 matrix and :func:`checked_vectorized_run` enforces it at runtime
-whenever the run's :class:`~repro.api.ExecutionPolicy` arms the
-invariant oracle.
+(:func:`repro.api.policy.shadow_check`) whenever the run's
+:class:`~repro.api.ExecutionPolicy` arms the invariant oracle.
 
 The kernel deliberately supports exactly the surface the figure
 harnesses and the serve tier exercise — the six section-3.1 ordering
@@ -42,7 +42,6 @@ STA/STD execution re-hints the set.
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_right, insort
 from collections import deque
 from heapq import heapify, heappop, heappush
@@ -71,12 +70,6 @@ _FRONTEND = ("frontend-branch", "frontend-trap", "frontend-window",
 class VectorUnsupported(RuntimeError):
     """The vectorized kernel cannot express this run; callers fall back
     to the scalar reference path."""
-
-
-class BackendMismatch(AssertionError):
-    """The vectorized and reference backends disagreed on a result —
-    raised only by :func:`checked_vectorized_run` (the invariant
-    oracle's shadow compare).  Always a bug."""
 
 
 class ArrayMOB:
@@ -1181,37 +1174,24 @@ def _reopen(ords: Dict[int, int], consumers, end: int) -> int:
 
 def checked_vectorized_run(machine, trace: Trace,
                            max_cycles: Optional[int] = None) -> SimResult:
-    """Run both backends and demand bit-identical results.
+    """:func:`run_vectorized` under the shadow oracle.
 
-    This is the vectorized kernel's hook into the invariant-oracle
-    contract (``ExecutionPolicy.invariants_active()``, which in
-    ``"auto"`` mode defers to ``REPRO_CHECK_INVARIANTS``): the kernel
-    emits no events, so instead of feeding the 13-invariant oracle
-    directly, a deep copy of the machine replays the trace through the
-    *scalar* path under the full oracle, and the kernel's result must
-    equal it field for field (the collected occupancy histograms and
-    stall breakdown included).  Any divergence raises
-    :class:`BackendMismatch`.
+    The kernel emits no events, so :func:`repro.api.policy.shadow_check`
+    replays the trace on a deep copy of the machine through the scalar
+    path under the full invariant oracle instead; the kernel's
+    ``SimResult.to_dict()`` and post-run machine state must equal the
+    reference's, or :class:`repro.api.policy.ShadowMismatch` is raised.
     """
+    from repro.api.policy import shadow_check
     from repro.fastpath.uoparrays import UnsupportedTrace, trace_arrays
+    from repro.robust.invariants import checked_run
 
     try:
-        trace_arrays(trace)  # gate before any state is mutated
+        trace_arrays(trace)  # gate before the shadow runs
     except UnsupportedTrace as exc:
         raise VectorUnsupported(str(exc)) from exc
-
-    shadow = copy.deepcopy(machine)
-    from repro.robust.invariants import checked_run
-    expected, _ = checked_run(shadow, trace, max_cycles=max_cycles)
-    actual = run_vectorized(machine, trace, max_cycles=max_cycles)
-    exp_d, act_d = expected.to_dict(), actual.to_dict()
-    if exp_d != act_d:
-        keys = sorted(k for k in set(exp_d) | set(act_d)
-                      if exp_d.get(k) != act_d.get(k))
-        detail = ", ".join(
-            f"{k}: reference={exp_d.get(k)!r} vectorized={act_d.get(k)!r}"
-            for k in keys)
-        raise BackendMismatch(
-            f"vectorized engine diverged from reference on "
-            f"{trace.name!r} ({machine.scheme.name}): {detail}")
-    return actual
+    return shadow_check(
+        machine, lambda m: run_vectorized(m, trace, max_cycles=max_cycles),
+        lambda m: checked_run(m, trace, max_cycles=max_cycles)[0],
+        f"vectorized engine on {trace.name!r} ({machine.scheme.name})",
+        observe=SimResult.to_dict)

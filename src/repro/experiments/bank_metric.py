@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, spec_for
+from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, shadow_check, spec_for
 from repro.bank.base import BankPredictor, BankStats
 from repro.bank.metric import metric
 from repro.experiments.harness import (
@@ -58,25 +58,44 @@ def evaluate(predictor: BankPredictor,
     When ``policy`` (default: ``ExecutionPolicy()``) resolves to the
     vectorized backend, a predictor with a kernel replays through the
     batch kernels of :mod:`repro.fastpath` — by contract bit-identical
-    to the scalar loop below (pinned by ``tests/fastpath/``).
+    to :func:`scalar_lane`, and shadow-checked against it (lane and
+    state, :func:`repro.api.shadow_check`) when the policy arms it.
     """
     policy = policy or ExecutionPolicy()
+    stats = BankStats()
+    stats.loads = len(stream)
     if policy.resolved_backend() == "vectorized":
         from repro.fastpath import bank as fp_bank
         if fp_bank.supports(predictor):
             pcs, banks = fp_bank.stream_arrays(stream, LINE_BYTES, N_BANKS)
-            predicted = fp_bank.replay_banks(predictor, pcs, banks)
-            stats = BankStats()
-            stats.loads = len(stream)
+            if policy.invariants_active():
+                predicted = shadow_check(
+                    predictor,
+                    lambda p: fp_bank.replay_banks(p, pcs, banks),
+                    lambda p: scalar_lane(stream, p),
+                    "Figure 12 bank replay")
+            else:
+                predicted = fp_bank.replay_banks(predictor, pcs, banks)
             stats.predicted = int((predicted != -1).sum())
             stats.correct = int((predicted == banks).sum())
             return stats
-    stats = BankStats()
-    for pc, address in stream:
-        bank = (address // LINE_BYTES) % N_BANKS
-        stats.record(predictor.predict(pc), bank)
-        predictor.update(pc, bank, address)
+    for (_, address), bank in zip(stream, scalar_lane(stream, predictor)):
+        if bank != -1:
+            stats.predicted += 1
+            stats.correct += bank == (address // LINE_BYTES) % N_BANKS
     return stats
+
+
+def scalar_lane(stream: Sequence[Tuple[int, int]],
+                predictor: BankPredictor) -> List[int]:
+    """The reference replay: each load's predicted bank, ``-1`` for an
+    abstention."""
+    lane = []
+    for pc, address in stream:
+        p = predictor.predict(pc)
+        lane.append(p.bank if p.predicted else -1)
+        predictor.update(pc, (address // LINE_BYTES) % N_BANKS, address)
+    return lane
 
 
 @sim_job("bank-metric")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, spec_for
+from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, shadow_check, spec_for
 from repro.cht.base import CollisionPredictor
 from repro.cht.tagless import TaglessCHT
 from repro.engine.machine import Machine
@@ -158,46 +158,61 @@ def replay(events: Sequence[LoadEvent], cht: CollisionPredictor,
 
     When ``policy`` (default: ``ExecutionPolicy()``) resolves to the
     vectorized backend, a :class:`TaglessCHT` replays through the batch
-    kernels of :mod:`repro.fastpath` — by contract bit-identical to the
-    scalar loop below (pinned by ``tests/fastpath/``).  Callers
+    kernels of :mod:`repro.fastpath` — by contract bit-identical to
+    :func:`scalar_lane`, and shadow-checked against it (lane and state,
+    :func:`repro.api.shadow_check`) when the policy arms it.  Callers
     replaying one stream through several CHTs can pass a shared
     :class:`EventArrayCache` built over the same ``events``.
     """
     policy = policy or ExecutionPolicy()
     if (policy.resolved_backend() == "vectorized"
             and type(cht) is TaglessCHT):
-        return _replay_vectorized(events, cht, warm, arrays)
+        if arrays is None:
+            arrays = EventArrayCache(events)
+        if policy.invariants_active():
+            predicted = shadow_check(
+                cht, lambda c: _kernel_lane(c, arrays, warm),
+                lambda c: scalar_lane(events, c, warm),
+                "Figure 9 tagless CHT replay")
+        else:
+            predicted = _kernel_lane(cht, arrays, warm)
+        _, conflicting, collided, _ = arrays.get()
+        acc = ChtAccuracy()
+        acc.conflicting = int(conflicting.sum())
+        acc.ac_pc = int((conflicting & collided & predicted).sum())
+        acc.ac_pnc = int((conflicting & collided & ~predicted).sum())
+        acc.anc_pc = int((conflicting & ~collided & predicted).sum())
+        acc.anc_pnc = int((conflicting & ~collided & ~predicted).sum())
+        return acc
+    acc = ChtAccuracy()
+    for event, predicted in zip(events, scalar_lane(events, cht, warm)):
+        acc.record(event, predicted)
+    return acc
+
+
+def scalar_lane(events: Sequence[LoadEvent], cht: CollisionPredictor,
+                warm: bool = False) -> List[bool]:
+    """The reference replay: each event's predicted-colliding bit
+    (after a discarded training pass when ``warm``)."""
     if warm:
         for event in events:
             cht.train(event.pc, event.collided,
                       event.distance if event.collided else None)
-    acc = ChtAccuracy()
+    lane = []
     for event in events:
-        prediction = cht.lookup(event.pc)
-        acc.record(event, prediction.colliding)
+        lane.append(cht.lookup(event.pc).colliding)
         cht.train(event.pc, event.collided,
                   event.distance if event.collided else None)
-    return acc
+    return lane
 
 
-def _replay_vectorized(events: Sequence[LoadEvent], cht: TaglessCHT,
-                       warm: bool,
-                       arrays: EventArrayCache = None) -> ChtAccuracy:
-    """The fastpath replay: batch kernels plus vectorized accounting."""
+def _kernel_lane(cht: TaglessCHT, arrays: EventArrayCache, warm: bool):
+    """The fastpath replay: :func:`scalar_lane` on the batch kernel."""
     from repro.fastpath.cht import tagless_replay
-    if arrays is None:
-        arrays = EventArrayCache(events)
-    pcs, conflicting, collided, distances = arrays.get()
+    pcs, _, collided, distances = arrays.get()
     if warm:  # lookups are pure, so a discarded replay is a train pass
         tagless_replay(cht, pcs, collided, distances)
-    predicted = tagless_replay(cht, pcs, collided, distances)
-    acc = ChtAccuracy()
-    acc.conflicting = int(conflicting.sum())
-    acc.ac_pc = int((conflicting & collided & predicted).sum())
-    acc.ac_pnc = int((conflicting & collided & ~predicted).sum())
-    acc.anc_pc = int((conflicting & ~collided & predicted).sum())
-    acc.anc_pnc = int((conflicting & ~collided & ~predicted).sum())
-    return acc
+    return tagless_replay(cht, pcs, collided, distances)
 
 
 #: (organisation label, size label, spec) — the Figure 9 sweep.  Every

@@ -11,6 +11,7 @@ gap.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.api import build_predictor, spec_for
@@ -61,14 +62,19 @@ def _build_machine(kind: Optional[str],
         hmp = TimingHMP(build_predictor(_LOCAL_SPEC),
                         mshr=hierarchy.mshr, serviced=hierarchy.serviced)
     elif kind == "perfect":
-        hmp = OracleHMP(lambda pc, line, now:
-                        hierarchy.would_hit_l1(
-                            (line or 0) * config.memory.l1d.line_bytes,
-                            now))
+        hmp = OracleHMP(partial(_l1_probe, hierarchy,
+                                config.memory.l1d.line_bytes))
     else:
         raise ValueError(f"unknown HMP kind {kind!r}")
     return Machine(config=config, scheme=make_scheme("perfect"),
                    hmp=hmp, hierarchy=hierarchy)
+
+
+def _l1_probe(hierarchy: MemoryHierarchy, line_bytes: int, pc: int,
+              line: Optional[int], now: int) -> bool:
+    """The perfect HMP's probe, bound by ``partial`` (not a closure) so
+    a deep copy of the machine probes its own hierarchy."""
+    return hierarchy.would_hit_l1((line or 0) * line_bytes, now)
 
 
 @sim_job("hmp-speedups")

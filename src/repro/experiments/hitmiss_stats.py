@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, spec_for
+from repro.api import ExecutionPolicy, PredictorSpec, build_predictor, shadow_check, spec_for
 from repro.engine.machine import Machine
 from repro.experiments.harness import (
     DEFAULT_SETTINGS,
@@ -82,39 +82,54 @@ def replay(events: Sequence[HitMissEvent], hmp: HitMissPredictor,
     When ``policy`` (default: ``ExecutionPolicy()``) resolves to the
     vectorized backend, a predictor with a kernel replays through the
     batch kernels of :mod:`repro.fastpath` — by contract bit-identical
-    to the scalar loop below (pinned by ``tests/fastpath/``).
+    to :func:`scalar_lane`, and shadow-checked against it (lane and
+    state, :func:`repro.api.shadow_check`) when the policy arms it.
     """
     policy = policy or ExecutionPolicy()
     if policy.resolved_backend() == "vectorized":
         from repro.fastpath import hitmiss as fp_hitmiss
         if fp_hitmiss.supports(hmp):
-            return _replay_vectorized(events, hmp, warm)
+            from repro.common.types import HitMissClass
+            pcs, hits = fp_hitmiss.event_arrays(events)
+            if policy.invariants_active():
+                predicted = shadow_check(
+                    hmp, lambda p: _kernel_lane(p, pcs, hits, warm),
+                    lambda p: scalar_lane(events, p, warm),
+                    f"Figure 10 {type(hmp).__name__} replay")
+            else:
+                predicted = _kernel_lane(hmp, pcs, hits, warm)
+            stats = HitMissStats()
+            stats.counts[HitMissClass.AH_PH] = int((hits & predicted).sum())
+            stats.counts[HitMissClass.AH_PM] = int((hits & ~predicted).sum())
+            stats.counts[HitMissClass.AM_PH] = int((~hits & predicted).sum())
+            stats.counts[HitMissClass.AM_PM] = int((~hits & ~predicted).sum())
+            return stats
+    stats = HitMissStats()
+    for event, predicted_hit in zip(events, scalar_lane(events, hmp, warm)):
+        stats.record(event.hit, predicted_hit)
+    return stats
+
+
+def scalar_lane(events: Sequence[HitMissEvent], hmp: HitMissPredictor,
+                warm: bool = False) -> List[bool]:
+    """The reference replay: each event's predicted-hit bit (after a
+    discarded training pass when ``warm``)."""
     if warm:
         for event in events:
             hmp.update(event.pc, event.hit, event.line, event.now)
-    stats = HitMissStats()
+    lane = []
     for event in events:
-        predicted_hit = hmp.predict_hit(event.pc, event.line, event.now)
-        stats.record(event.hit, predicted_hit)
+        lane.append(hmp.predict_hit(event.pc, event.line, event.now))
         hmp.update(event.pc, event.hit, event.line, event.now)
-    return stats
+    return lane
 
 
-def _replay_vectorized(events: Sequence[HitMissEvent],
-                       hmp: HitMissPredictor, warm: bool) -> HitMissStats:
-    """The fastpath replay: batch kernels plus vectorized accounting."""
-    from repro.common.types import HitMissClass
-    from repro.fastpath.hitmiss import event_arrays, replay_hits
-    pcs, hits = event_arrays(events)
+def _kernel_lane(hmp: HitMissPredictor, pcs, hits, warm: bool):
+    """The fastpath replay: :func:`scalar_lane` on the batch kernel."""
+    from repro.fastpath.hitmiss import replay_hits
     if warm:  # predictions are pure, so a discarded replay trains
         replay_hits(hmp, pcs, hits)
-    predicted = replay_hits(hmp, pcs, hits)
-    stats = HitMissStats()
-    stats.counts[HitMissClass.AH_PH] = int((hits & predicted).sum())
-    stats.counts[HitMissClass.AH_PM] = int((hits & ~predicted).sum())
-    stats.counts[HitMissClass.AM_PH] = int((~hits & predicted).sum())
-    stats.counts[HitMissClass.AM_PM] = int((~hits & ~predicted).sum())
-    return stats
+    return replay_hits(hmp, pcs, hits)
 
 
 #: Figure 10's grouping ("Others" = Games + Java + TPC).

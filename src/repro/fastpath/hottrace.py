@@ -52,15 +52,14 @@ it.  At a converged fixed point ``pre == post`` and a hit skips
 rehydration entirely — the window answers from one dict probe.
 
 Under an armed invariant oracle (``ExecutionPolicy.invariants_active``)
-every hit is checked before its commit by the same shadow oracle that
-checks kernel runs (:func:`repro.serve.batch.check_against_scalar`):
-a divergence counts ``abort_mismatch`` and raises
-:class:`~repro.serve.batch.ServeInvariantViolation`.
+every hit is checked before its commit by the oracle that also checks
+kernel runs (:func:`repro.api.policy.shadow_check`): a divergence
+counts ``abort_mismatch`` and raises
+:class:`~repro.api.policy.ShadowMismatch`, with the session untouched.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import pickle
 from array import array
@@ -283,15 +282,7 @@ class HotTraceEngine:
                 return None
 
         if check:
-            from repro.serve.batch import check_against_scalar, unpack_lanes
-            try:
-                check_against_scalar(
-                    session, copy.deepcopy(session.predictor),
-                    *unpack_lanes(lanes), trace.results, trace.post_state,
-                    "hot-trace hit")
-            except AssertionError:
-                c.abort_mismatch += 1
-                raise
+            self._shadow_check(session, lanes, trace, new_predictor)
 
         session.predictor = new_predictor
         st.state_digest = trace.post_digest
@@ -336,6 +327,26 @@ class HotTraceEngine:
             self.counters.evictions += 1
 
     # -- internals -------------------------------------------------------
+
+    def _shadow_check(self, session, lanes: bytes, trace: CapturedTrace,
+                      new_predictor: object) -> None:
+        """Check a hit's results and to-be-committed predictor against
+        a scalar replay of the window from the current state."""
+        from repro.api.policy import ShadowMismatch, shadow_check
+        from repro.serve.batch import scalar_steps, unpack_lanes
+        window = unpack_lanes(lanes)
+        try:
+            shadow_check(
+                session.predictor,
+                lambda p: (list(trace.results), new_predictor),
+                lambda p: (scalar_steps(session.family, p, *window), p),
+                f"session {session.session_id!r} ({session.spec.kind}): "
+                "hot-trace hit",
+                observe=lambda value: value[0],
+                state=lambda subject, value: value[1])
+        except ShadowMismatch:
+            self.counters.abort_mismatch += 1
+            raise
 
     def drain_abort_events(self) -> List[Tuple[str, str]]:
         """Return (and clear) the undrained ``(session_id, guard)``

@@ -65,27 +65,23 @@ class SimJob:
     module:
         Module that registered the runner; imported on demand when a
         worker process has not seen the registration yet.
-    cacheable:
-        ``False`` opts the job out of the disk cache (wall-clock
-        benchmarks must re-measure, never replay).
     """
 
     kind: str
     key: Tuple[object, ...]
     params: JobParams = ()
     module: str = ""
-    cacheable: bool = True
 
     @staticmethod
     def make(runner: Callable[..., object], key: Tuple[object, ...],
-             cacheable: bool = True, **kwargs: object) -> "SimJob":
+             **kwargs: object) -> "SimJob":
         """Build a job for a runner decorated with :func:`sim_job`."""
         kind = getattr(runner, "job_kind", None)
         if kind is None:
             raise ValueError(f"{runner!r} is not a registered sim_job")
         params = tuple(sorted(kwargs.items()))
         return SimJob(kind=kind, key=key, params=params,
-                      module=runner.__module__, cacheable=cacheable)
+                      module=runner.__module__)
 
     @property
     def derived_seed(self) -> int:

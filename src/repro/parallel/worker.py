@@ -50,8 +50,7 @@ def execute_one(job: SimJob, settings,
                 cache: Optional[ResultCache]
                 ) -> Tuple[object, float, bool]:
     """Run one job (cache-aware): ``(result, wall_seconds, cache_hit)``."""
-    use_cache = cache is not None and job.cacheable
-    if use_cache:
+    if cache is not None:
         key, material = cache_key(job, settings)
         hit, payload = cache.load(key, material)
         if hit:
@@ -59,7 +58,7 @@ def execute_one(job: SimJob, settings,
     start = time.perf_counter()
     result = job.run()
     wall = time.perf_counter() - start
-    if use_cache:
+    if cache is not None:
         cache.store(key, material, result)
     return result, wall, False
 

@@ -354,8 +354,12 @@ def checked_run(machine, trace, max_cycles: Optional[int] = None,
         targets = [machine, machine.hierarchy, machine.hmp,
                    machine.bank_predictor, machine.branch_predictor,
                    getattr(machine.scheme, "cht", None)]
-        saved = [(t, getattr(t, "obs", None)) for t in targets
+        # (target, held its own ``obs``, its value); the bus also
+        # rewrites the run's degrade record, which is restored too.
+        saved = [(t, "obs" in getattr(t, "__dict__", ()),
+                  getattr(t, "obs", None)) for t in targets
                  if t is not None]
+        reason = machine.last_degrade_reason
         bus = instrument(machine, EventBus())
     else:
         bus = machine.obs
@@ -364,7 +368,10 @@ def checked_run(machine, trace, max_cycles: Optional[int] = None,
         result = machine.run(trace, max_cycles=max_cycles)
     finally:
         if own_bus:
-            for target, previous in saved:
+            for target, owned, previous in saved:
                 target.obs = previous
+                if not owned:  # an inherited default stays inherited
+                    getattr(target, "__dict__", {}).pop("obs", None)
+            machine.last_degrade_reason = reason
     checker.finish()
     return result, checker

@@ -31,7 +31,6 @@ benchmark, ``benchmarks/e2e`` (workloads ``serve_phased`` and
 ``fleet_steps``).
 """
 
-from repro.serve.batch import ServeInvariantViolation
 from repro.serve.config import ServeConfig
 from repro.serve.fleet import FleetError, ServeFleet
 from repro.serve.handle import JsonlHandle
@@ -68,7 +67,6 @@ __all__ = [
     "RetryAfter",
     "ServeConfig",
     "ServeFleet",
-    "ServeInvariantViolation",
     "WriteAheadLog",
     "load_snapshot",
     "save_snapshot",

@@ -28,26 +28,21 @@ The service's correctness invariant is the package-wide one: batched
 results and post-batch predictor state bit-identical to the sequential
 scalar replay of the same per-session request stream.  When the
 shard's policy arms the oracle (``ExecutionPolicy.invariants_active``)
-every kernel dispatch and every hot-trace hit is shadowed by a scalar
-replay on a deep copy and both results and state are compared
-(:func:`check_against_scalar`, :class:`ServeInvariantViolation` on any
-mismatch) — the serving counterpart of :mod:`repro.robust`'s engine
-oracle.
+every kernel dispatch and every hot-trace hit is checked against
+:func:`scalar_steps` on a deep copy, results and predictor state
+(results only for an unpicklable predictor), by the package's one
+shadow oracle, :func:`repro.api.policy.shadow_check`.  Its
+:class:`repro.api.policy.ShadowMismatch` becomes a failed response.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
-import pickle
 import struct
 from typing import List, Optional, Sequence, Tuple
 
 from repro.fastpath.hottrace import MIN_TRACE_LEN, HotTraceEngine
 from repro.serve.protocol import PredictRequest
-
-class ServeInvariantViolation(AssertionError):
-    """A kernel-executed batch diverged from the scalar replay."""
 
 
 # --------------------------------------------------------------------------
@@ -127,17 +122,6 @@ VIA_KERNEL = "kernel"
 VIA_HOTTRACE = "hottrace"
 
 
-def _kernel_eligible(family: str, predictor: object,
-                     backend: str) -> bool:
-    if backend != "vectorized":
-        return False
-    import repro.fastpath as fastpath
-    if not fastpath.HAS_NUMPY:
-        return False
-    from repro.fastpath import batchapi
-    return batchapi.supports_steps(family, predictor)
-
-
 def degrade_reason(session, backend: str) -> Optional[str]:
     """Why a vectorized-backend session would execute scalar, or None.
 
@@ -193,40 +177,6 @@ def unpack_lanes(lanes: bytes) -> Tuple[Tuple[int, ...], ...]:
     return flat[:n], flat[n:2 * n], flat[2 * n:]
 
 
-def check_against_scalar(session, shadow: object, pcs: Sequence[int],
-                         outcomes: Sequence[int],
-                         distances: Sequence[int],
-                         results: Sequence[int],
-                         post_state: Optional[bytes], what: str) -> None:
-    """The shadow oracle of every fast path.
-
-    ``shadow`` is a private copy of the predictor as it stood before
-    the window; it is replayed through :func:`scalar_steps`, and the
-    candidate's ``results`` and pickled ``post_state`` must match the
-    replay's (state bytes compared raw, then through
-    :func:`_canonical_state`, since raw pickles of one logical state
-    can differ across object lineages).  Raises
-    :class:`ServeInvariantViolation` naming ``what`` diverged."""
-    expect = scalar_steps(session.family, shadow, pcs, outcomes, distances)
-    results = list(results)
-    n = len(expect)
-    label = f"session {session.session_id!r} ({session.spec.kind}): {what}"
-    if results != expect:
-        index = next((i for i, (a, b) in enumerate(zip(results, expect))
-                      if a != b), min(len(results), n))
-        raise ServeInvariantViolation(
-            f"{label} results diverging from the scalar replay at index "
-            f"{index} of {n}")
-    shadow_state = _state_bytes(shadow)
-    if (post_state is not None and shadow_state is not None
-            and post_state != shadow_state
-            and _canonical_state(post_state)
-            != _canonical_state(shadow_state)):
-        raise ServeInvariantViolation(
-            f"{label} left predictor state diverging from the scalar "
-            f"replay ({n} steps)")
-
-
 def execute_step_arrays_ex(session, pcs: Sequence[int],
                            outcomes: Sequence[int],
                            distances: Sequence[int], backend: str,
@@ -246,9 +196,8 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
     ``ExecutionPolicy.invariants_active()``).
     """
     n = len(pcs)
-    use_kernel = (n >= max(1, min_kernel_run)
-                  and _kernel_eligible(session.family, session.predictor,
-                                       backend))
+    use_kernel = (n >= max(1, min_kernel_run) and backend == "vectorized"
+                  and degrade_reason(session, backend) is None)
     memoize = n >= MIN_TRACE_LEN
     try:
         lanes = (pack_lanes(pcs, outcomes, distances)
@@ -268,19 +217,16 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
                                    pcs, outcomes, distances)
             via = VIA_SCALAR
         else:
-            shadow = copy.deepcopy(session.predictor) if check else None
-
             from repro.fastpath import batchapi
             import numpy as np
             block = np.frombuffer(lanes, dtype="<i8").reshape(3, n)
-            results = batchapi.replay_steps(
-                session.family, session.predictor, block[0], block[1],
-                block[2]).tolist()
-
             if check:
-                check_against_scalar(
-                    session, shadow, pcs, outcomes, distances, results,
-                    _state_bytes(session.predictor), "kernel batch")
+                results = _checked_kernel(session, block, pcs, outcomes,
+                                          distances)
+            else:
+                results = batchapi.replay_steps(
+                    session.family, session.predictor, block[0], block[1],
+                    block[2]).tolist()
             via = VIA_KERNEL
     except BaseException:
         # A mid-window exception (bad op arguments, a kernel fault, a
@@ -298,26 +244,21 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
     return results, via
 
 
-def _canonical_state(raw: bytes) -> bytes:
-    """Pickle bytes normalized through one ``loads``/``dumps`` round
-    trip.
-
-    Raw pickles are not byte-canonical across lineages: a freshly
-    constructed predictor shares interned strings that a rehydrated one
-    does not, so two logically identical states can pickle to different
-    bytes (different memo back-references).  One round trip erases the
-    interning-induced sharing, after which the encoding is a fixed
-    point — the comparison the shadow oracle needs."""
-    return pickle.dumps(pickle.loads(raw),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _state_bytes(predictor: object) -> Optional[bytes]:
-    """Canonical state fingerprint; None when unpicklable."""
-    try:
-        return pickle.dumps(predictor, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:  # pragma: no cover - exotic predictor state
-        return None
+def _checked_kernel(session, block, pcs: Sequence[int],
+                    outcomes: Sequence[int],
+                    distances: Sequence[int]) -> List[int]:
+    """A kernel window under the shadow oracle, kept out of
+    :func:`execute_step_arrays_ex` so its unchecked path builds no
+    closure."""
+    from repro.api.policy import shadow_check
+    from repro.fastpath import batchapi
+    family = session.family
+    return shadow_check(
+        session.predictor,
+        lambda p: batchapi.replay_steps(family, p, *block).tolist(),
+        lambda p: scalar_steps(family, p, pcs, outcomes, distances),
+        f"session {session.session_id!r} ({session.spec.kind}): "
+        "kernel batch")
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,6 @@
-"""LoadPredictor protocol conformance and the family adapters."""
-
-import pytest
+"""LoadPredictor protocol conformance."""
 
 from repro.api import build_predictor, spec_for
-from repro.api.adapters import (
-    BankLoadPredictor,
-    CollisionLoadPredictor,
-    HitMissLoadPredictor,
-    as_load_predictor,
-)
 from repro.common.types import LoadPredictor
 from repro.predictors.base import AlwaysPredictor
 
@@ -18,72 +10,6 @@ def test_binary_predictors_conform_verbatim():
                  "binary.gshare", "binary.gskew"):
         predictor = build_predictor(spec_for(kind))
         assert isinstance(predictor, LoadPredictor)
-        assert as_load_predictor(predictor) is predictor
-
-
-def test_cht_adapter():
-    wrapped = as_load_predictor(build_predictor(
-        spec_for("cht.tagless", size=64)))
-    assert isinstance(wrapped, CollisionLoadPredictor)
-    assert isinstance(wrapped, LoadPredictor)
-    assert wrapped.predict(0x40).outcome is False
-    for _ in range(4):
-        wrapped.update(0x40, True)
-    assert wrapped.predict(0x40).outcome is True
-
-
-def test_hitmiss_adapter_outcome_is_miss():
-    hmp = build_predictor(spec_for("hmp.local", size=64, history=2))
-    wrapped = as_load_predictor(hmp)
-    assert isinstance(wrapped, HitMissLoadPredictor)
-    assert isinstance(wrapped, LoadPredictor)
-    for _ in range(8):
-        wrapped.update(0x40, True)  # persistent misses
-    assert wrapped.predict(0x40).outcome is True
-    assert hmp.predict_hit(0x40) is False  # inverted view agrees
-
-
-def test_bank_adapter_tracks_trained_bank():
-    pred = build_predictor(spec_for("bank.a"))
-    wrapped = as_load_predictor(pred)
-    assert isinstance(wrapped, BankLoadPredictor)
-    assert isinstance(wrapped, LoadPredictor)
-    for _ in range(32):
-        wrapped.update(0x40, True)
-    p = wrapped.predict(0x40)
-    assert p.valid and p.outcome is True
-
-
-def test_bank_adapter_maps_abstention():
-    from repro.bank.base import BankPrediction, BankPredictor
-
-    class Abstainer:
-        n_banks = 2
-
-        def predict(self, pc):
-            return BankPrediction(bank=None, confidence=0.0)
-
-        def update(self, pc, bank, address=None):
-            pass
-
-    BankPredictor.register(Abstainer)
-    wrapped = as_load_predictor(Abstainer())
-    assert wrapped.predict(0x40).valid is False
-
-
-def test_bank_adapter_rejects_many_banks():
-    class FourBank:
-        n_banks = 4
-
-    from repro.bank.base import BankPredictor
-    BankPredictor.register(FourBank)
-    with pytest.raises(ValueError, match="two-bank"):
-        as_load_predictor(FourBank())
-
-
-def test_as_load_predictor_rejects_strangers():
-    with pytest.raises(TypeError):
-        as_load_predictor(object())
 
 
 def test_protocol_is_runtime_checkable_structurally():
@@ -95,4 +21,4 @@ def test_protocol_is_runtime_checkable_structurally():
             pass
 
     assert isinstance(Duck(), LoadPredictor)
-    assert as_load_predictor(Duck()).predict(0).valid is True
+    assert not isinstance(object(), LoadPredictor)

@@ -18,7 +18,6 @@ from repro.engine.ordering import (
     TraditionalOrdering,
     make_scheme,
 )
-from repro.engine.results import SimResult
 from repro.experiments.harness import get_trace
 from repro.fastpath import HAS_NUMPY
 from tests.engine.helpers import MicroTrace
@@ -454,69 +453,3 @@ class TestRoutingAndFallback:
             lambda: Machine(scheme=make_scheme("traditional")), trace)
         assert ref.to_dict() == vec.to_dict()
         assert vec.retired_uops == 2
-
-
-@needs_numpy
-class TestCheckedRun:
-    def test_invariants_env_shadow_checks(self, monkeypatch):
-        from repro.engine import vector
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        calls = []
-        real = vector.checked_vectorized_run
-        monkeypatch.setattr(
-            vector, "checked_vectorized_run",
-            lambda m, t, max_cycles=None: (calls.append(t.name)
-                                           or real(m, t,
-                                                   max_cycles=max_cycles)))
-        trace = get_trace("gcc", 400)
-        result = Machine(scheme=make_scheme("traditional")).run(
-            trace, policy=VECTORIZED)
-        assert calls == ["gcc"]
-        assert isinstance(result, SimResult)
-
-    def test_lying_kernel_is_caught(self, monkeypatch):
-        from repro.engine import vector
-
-        def lying(machine, trace, max_cycles=None):
-            result = machine._run_reference(trace, max_cycles)
-            result.cycles += 1  # off-by-one nobody would notice
-            return result
-
-        monkeypatch.setattr(vector, "run_vectorized", lying)
-        trace = get_trace("gcc", 400)
-        with pytest.raises(vector.BackendMismatch, match="cycles"):
-            vector.checked_vectorized_run(
-                Machine(scheme=make_scheme("traditional")), trace)
-
-
-@needs_numpy
-class TestPolicyArmsShadowCheck:
-    """The kernel's shadow oracle follows the run's ExecutionPolicy, not
-    a raw read of ``REPRO_CHECK_INVARIANTS``."""
-
-    def run_spied(self, monkeypatch, check_invariants):
-        from repro.engine import vector
-        calls = []
-        real = vector.checked_vectorized_run
-        monkeypatch.setattr(
-            vector, "checked_vectorized_run",
-            lambda m, t, max_cycles=None: (calls.append(t.name)
-                                           or real(m, t,
-                                                   max_cycles=max_cycles)))
-        machine = Machine(scheme=make_scheme("traditional"))
-        machine.run(get_trace("gcc", 400), policy=ExecutionPolicy(
-            backend="vectorized", check_invariants=check_invariants))
-        assert machine.last_degrade_reason is None
-        return calls
-
-    def test_policy_on_checks_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-        assert self.run_spied(monkeypatch, "on") == ["gcc"]
-
-    def test_policy_off_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        assert self.run_spied(monkeypatch, "off") == []
-
-    def test_env_zero_is_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
-        assert self.run_spied(monkeypatch, "auto") == []

@@ -1,4 +1,5 @@
-"""Differential equivalence: bank predictor batch replay vs. scalar."""
+"""The differential matrix, bank family: Figure 12's replay run armed
+(``tests/fastpath/helpers.py``), abstentions included."""
 
 import pytest
 
@@ -9,17 +10,10 @@ from repro.bank.history import (
     make_predictor_b,
     make_predictor_c,
 )
-from repro.experiments.bank_metric import LINE_BYTES, N_BANKS, evaluate
 from repro.fastpath import bank as fp_bank
-from repro.fastpath.tracegen import synthesize_bank_grid
 from repro.predictors.bimodal import BimodalPredictor
 
-from tests.fastpath.helpers import (
-    REFERENCE,
-    RUN_LENGTHS,
-    VECTORIZED,
-    predictor_state,
-)
+from tests.fastpath.helpers import RUN_LENGTHS, armed, grid
 
 MAKERS = {
     "A": make_predictor_a,
@@ -38,46 +32,23 @@ REPLAYS = ([pytest.param(seed, label, 3000, id=f"{seed}-{label}")
 
 @pytest.mark.parametrize("seed,label,n", REPLAYS)
 def test_stats_and_state_identical(seed, label, n):
-    stream = synthesize_bank_grid(seed, n)
-    reference = MAKERS[label]()
-    vectorized = MAKERS[label]()
-    ref_stats = evaluate(reference, stream, policy=REFERENCE)
-    vec_stats = evaluate(vectorized, stream, policy=VECTORIZED)
-    assert (vec_stats.loads, vec_stats.predicted, vec_stats.correct) \
-        == (ref_stats.loads, ref_stats.predicted, ref_stats.correct)
-    assert predictor_state(vectorized._chooser) \
-        == predictor_state(reference._chooser)
+    assert armed("bank", MAKERS[label](), grid("bank", seed, n)).loads == n
 
 
 def test_prediction_stream_identical_including_abstains():
-    stream = synthesize_bank_grid(63, 2500)
-    reference = make_predictor_a()
-    vectorized = make_predictor_a()
-    expected = []
-    for pc, address in stream:
-        bank = (address // LINE_BYTES) % N_BANKS
-        p = reference.predict(pc)
-        expected.append(p.bank if p.predicted else -1)
-        reference.update(pc, bank)
-    pcs, banks = fp_bank.stream_arrays(stream, LINE_BYTES, N_BANKS)
-    got = fp_bank.replay_banks(vectorized, pcs, banks)
-    assert got.tolist() == expected
+    stats = armed("bank", make_predictor_a(), grid("bank", 63, 2500))
     # The abstain channel must actually be exercised by the grid.
-    assert -1 in expected and (0 in expected or 1 in expected)
+    assert 0 < stats.predicted < stats.loads
 
 
 def test_abstain_threshold_respected():
-    stream = synthesize_bank_grid(64, 1500)
+    stream = grid("bank", 64, 1500)
     never = HistoryBankPredictor([BimodalPredictor(n_entries=64)],
                                  abstain_threshold=2.0)
-    stats = evaluate(never, stream, policy=VECTORIZED)
-    assert stats.loads == len(stream) and stats.predicted == 0
+    assert armed("bank", never, stream).predicted == 0
     always = HistoryBankPredictor([BimodalPredictor(n_entries=64)],
                                   abstain_threshold=0.0)
-    reference = HistoryBankPredictor([BimodalPredictor(n_entries=64)],
-                                     abstain_threshold=0.0)
-    assert evaluate(always, stream, policy=VECTORIZED).as_dict() \
-        == evaluate(reference, stream, policy=REFERENCE).as_dict()
+    assert armed("bank", always, stream).predicted == len(stream)
 
 
 def test_address_predictor_keeps_scalar_path():
@@ -85,6 +56,4 @@ def test_address_predictor_keeps_scalar_path():
     # does not model; it must not be claimed by supports().
     predictor = AddressBankPredictor()
     assert not fp_bank.supports(predictor)
-    stream = synthesize_bank_grid(65, 400)
-    stats = evaluate(predictor, stream, policy=VECTORIZED)
-    assert stats.loads == len(stream)
+    assert armed("bank", predictor, grid("bank", 65, 400)).loads == 400

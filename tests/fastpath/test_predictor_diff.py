@@ -1,16 +1,12 @@
-"""Differential equivalence: batch predictor replay vs. the scalar loop.
+"""The differential matrix, binary family: batch replay vs. the scalar
+loop, armed (``tests/fastpath/helpers.py``) — prediction stream,
+confidence stream (exact float equality) and the complete post-replay
+table/history state, across seeded grids and chunk boundaries."""
 
-Every kernel must reproduce the scalar predict→update loop *exactly*:
-prediction stream, confidence stream (exact float equality), and the
-complete post-replay table/history state, across seeded workload grids
-and across chunk boundaries.
-"""
-
-import numpy as np
 import pytest
 
+from repro.api import shadow_check
 from repro.fastpath import predictors as fp
-from repro.fastpath.tracegen import synthesize_outcome_grid
 from repro.predictors.base import AlwaysPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.chooser import MajorityChooser, WeightedChooser
@@ -20,7 +16,8 @@ from repro.predictors.local import LocalPredictor
 
 from tests.fastpath.helpers import (
     RUN_LENGTHS,
-    predictor_state,
+    armed,
+    grid,
     scalar_binary_replay,
 )
 
@@ -61,52 +58,33 @@ REPLAYS = ([pytest.param(label, seed, 3000, id=f"{seed}-{label}")
 
 @pytest.mark.parametrize("label,seed,n", REPLAYS)
 def test_replay_bit_identical(label, seed, n):
-    pcs, outcomes = synthesize_outcome_grid(seed, n)
-    reference = FACTORIES[label]()
-    vectorized = FACTORIES[label]()
-    exp_out, exp_conf = scalar_binary_replay(reference, pcs, outcomes)
-    got_out, got_conf = fp.replay(vectorized, pcs, outcomes)
-    assert got_out.tolist() == exp_out
-    assert got_conf.tolist() == exp_conf  # exact float equality
-    assert predictor_state(vectorized) == predictor_state(reference)
+    armed("binary", FACTORIES[label](), grid("binary", seed, n))
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 256, 100000])
 def test_chunking_is_invisible(batch_size):
     # Cross-batch state (histories, counters) must flow through the
     # predictor object so any chunk size gives the same answer.
-    pcs, outcomes = synthesize_outcome_grid(21, 1500)
-    reference = FACTORIES["gshare"]()
-    vectorized = FACTORIES["gshare"]()
-    exp_out, exp_conf = scalar_binary_replay(reference, pcs, outcomes)
-    got_out, got_conf = fp.replay(vectorized, pcs, outcomes,
-                                  batch_size=batch_size)
-    assert got_out.tolist() == exp_out
-    assert got_conf.tolist() == exp_conf
-    assert predictor_state(vectorized) == predictor_state(reference)
+    armed("binary", FACTORIES["gshare"](), grid("binary", 21, 1500),
+          batch_size=batch_size)
 
 
 def test_replay_resumes_scalar_use_exactly():
     # Batch then scalar must equal scalar all the way.
-    pcs, outcomes = synthesize_outcome_grid(31, 1200)
-    split = 700
-    reference = FACTORIES["local"]()
-    mixed = FACTORIES["local"]()
-    scalar_binary_replay(reference, pcs[:split], outcomes[:split])
-    fp.replay(mixed, pcs[:split], outcomes[:split])
-    tail_ref = scalar_binary_replay(reference, pcs[split:], outcomes[split:])
-    tail_mix = scalar_binary_replay(mixed, pcs[split:], outcomes[split:])
-    assert tail_mix == tail_ref
-    assert predictor_state(mixed) == predictor_state(reference)
+    pcs, outcomes = grid("binary", 31, 1200)
+    head, tail = (pcs[:700], outcomes[:700]), (pcs[700:], outcomes[700:])
+    shadow_check(
+        FACTORIES["local"](),
+        lambda p: (fp.replay(p, *head), scalar_binary_replay(p, *tail)),
+        lambda p: (scalar_binary_replay(p, *head),
+                   scalar_binary_replay(p, *tail)),
+        "kernel then scalar")
 
 
 def test_empty_stream_is_identity():
-    predictor = FACTORIES["gskew"]()
-    before = predictor_state(predictor)
-    out, conf = fp.replay(predictor, np.zeros(0, dtype=np.int64),
-                          np.zeros(0, dtype=bool))
+    # The oracle compares the post-state with an untouched copy.
+    out, conf = armed("binary", FACTORIES["gskew"](), ([], []))
     assert len(out) == 0 and len(conf) == 0
-    assert predictor_state(predictor) == before
 
 
 class TestSupports:

@@ -14,10 +14,9 @@ in ``test_hottrace_guards.py``.
 """
 
 import asyncio
-import pickle
 from unittest.mock import patch
 
-from repro.api import ExecutionPolicy, spec_for
+from repro.api import ExecutionPolicy, canonical_state, spec_for
 from repro.fastpath import hottrace
 from repro.fastpath.hottrace import (
     HOT_THRESHOLD,
@@ -28,7 +27,6 @@ from repro.serve import PredictRequest, PredictionService, ServeConfig
 from repro.serve.batch import (
     VIA_HOTTRACE,
     VIA_SCALAR,
-    _canonical_state,
     apply_update,
     execute_step_arrays_ex,
     replay_digest,
@@ -66,8 +64,7 @@ def state_bytes(session):
     the predictor with a rehydrated object whose *raw* pickle can
     differ from a same-state original (interning-induced sharing), so
     equality is judged on the normalized encoding."""
-    return _canonical_state(pickle.dumps(
-        session.predictor, protocol=pickle.HIGHEST_PROTOCOL))
+    return canonical_state(session.predictor)
 
 
 def make_pair():
