@@ -125,9 +125,9 @@ class Machine:
         #: emitted only when the fallback was not expected (see
         #: :meth:`run`).
         self.last_degrade_reason: Optional[str] = None
-        #: The MOB class :meth:`run` instantiates.  Fault-injection
-        #: tests substitute :class:`repro.robust.faults.SabotagedMOB`
-        #: to prove the invariant oracle catches MOB defects.
+        #: The MOB class :meth:`run` instantiates.  The invariant tests
+        #: (``tests/robust/test_invariants.py``) substitute a sabotaged
+        #: MOB to prove the invariant oracle catches MOB defects.
         self.mob_factory = MemoryOrderBuffer
 
     # ------------------------------------------------------------------

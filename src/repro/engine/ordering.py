@@ -169,8 +169,9 @@ SCHEME_NAMES = ("traditional", "opportunistic", "postponing", "inclusive",
 #: The exact scheme types the vectorized engine kernel implements, in
 #: kernel-kind order (:mod:`repro.engine.vector` dispatches on the
 #: tuple index).  Deliberately exact types, not isinstance checks:
-#: subclasses (e.g. the fault-injection LyingOrdering wrappers) must
-#: fall back to the scalar path so their behaviour stays observable.
+#: subclasses (e.g. the lying scheme of
+#: ``tests/robust/test_invariants.py``) must fall back to the scalar
+#: path so their behaviour stays observable.
 VECTOR_SCHEME_TYPES = (TraditionalOrdering, OpportunisticOrdering,
                        PostponingOrdering, InclusiveOrdering,
                        ExclusiveOrdering, PerfectOrdering)

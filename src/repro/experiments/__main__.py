@@ -17,14 +17,14 @@ of re-simulating (see docs/parallel.md).  Both are output-invariant:
 the ``--json`` payload is byte-identical across serial, parallel and
 cached runs.
 
-Failed jobs are retried (``--retries``, with exponential backoff) and
-hung jobs time out (``--timeout``); worker deaths rebuild the pool and
-fall back to serial execution — see docs/robustness.md.  A figure
-whose jobs still fail after all that is recorded and skipped (or, with
-``--fail-fast``, aborts the remaining figures); either way every
-completed figure's data is still written to ``--json`` and the run
-manifest gains a ``healing`` section describing the degradation.
-``--chaos SPEC`` injects deterministic faults for testing the above.
+Worker deaths rebuild the pool and then fall back to serial execution
+— see docs/robustness.md.  A job that raises is not retried (jobs are
+pure, so it would raise again): its figure is recorded and skipped
+(or, with ``--fail-fast``, aborts the remaining figures); either way
+every completed figure's data is still written to ``--json`` and the
+run manifest gains a ``healing`` section describing the degradation.
+``--chaos SPEC`` injects deterministic worker kills and cache
+corruption for testing the above.
 
 Exit codes
 ----------
@@ -128,24 +128,15 @@ def main(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir (neither read nor "
                              "write cache entries)")
-    parser.add_argument("--retries", type=int, default=2, metavar="N",
-                        help="re-run a failed/timed-out job up to N "
-                             "times with exponential backoff "
-                             "(default 2)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-job timeout (pooled runs only); "
-                             "overdue jobs are killed and charged a "
-                             "retry")
     parser.add_argument("--fail-fast", action="store_true",
                         help="stop at the first figure whose jobs "
-                             "exhaust their retries instead of "
-                             "continuing with the remaining figures")
+                             "fail instead of continuing with the "
+                             "remaining figures")
     parser.add_argument("--chaos", metavar="SPEC", default=None,
                         help="inject deterministic faults, e.g. "
                              "'worker-kill,cache-corrupt' or "
-                             "'worker-kill=0.5,flip-cht=0.1' (see "
-                             "docs/robustness.md for the grammar)")
+                             "'worker-kill=0.5,kind=classification' "
+                             "(see docs/robustness.md for the grammar)")
     parser.add_argument("--chaos-seed", type=int, default=0,
                         metavar="SEED",
                         help="seed for the --chaos fault plan "
@@ -165,8 +156,6 @@ def main(argv=None) -> int:
     if args.traces_per_group < 0:
         parser.error("--traces-per-group must be >= 0, "
                      f"got {args.traces_per_group}")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
     fault_plan = None
     if args.chaos:
         try:
@@ -181,8 +170,6 @@ def main(argv=None) -> int:
                           else args.traces_per_group))
     plan = ExecutionPlan(workers=args.workers, cache_dir=args.cache_dir,
                          use_cache=not args.no_cache,
-                         max_retries=args.retries,
-                         job_timeout=args.timeout,
                          fault_plan=fault_plan)
     if (fault_plan is not None and fault_plan.corrupt_cache_fraction
             and plan.effective_cache_dir
@@ -279,8 +266,6 @@ def _build_manifest(figures, timings: Dict[str, float],
     registry.set("parallel.sim_seconds", report.sim_seconds)
     registry.set("parallel.wall_seconds", total_wall)
     registry.set("healing.degraded", int(report.degraded))
-    registry.set("healing.retries", report.retries)
-    registry.set("healing.timeouts", report.timeouts)
     registry.set("healing.pool_rebuilds", report.pool_rebuilds)
     registry.set("healing.serial_fallbacks", report.serial_fallbacks)
     registry.set("healing.failures", len(report.failures))

@@ -38,9 +38,7 @@ class EventKind:
     Bookkeeping
         ``STORE_TRACKED`` / ``STORE_DATA`` — a store entered the MOB /
         its STD arrived;
-        ``PREDICTOR_UPDATE`` — any predictor family trained;
-        ``FAULT`` — a :mod:`repro.robust` fault wrapper perturbed the
-        machine (the chaos audit trail).
+        ``PREDICTOR_UPDATE`` — any predictor family trained.
     Serving (:mod:`repro.serve`; ``cycle`` carries a microsecond
     monotonic timestamp instead of a simulated cycle)
         ``SERVE_ENQUEUE`` — a request was admitted to a shard queue
@@ -78,7 +76,6 @@ class EventKind:
     STORE_TRACKED = "store-tracked"
     STORE_DATA = "store-data"
     PREDICTOR_UPDATE = "predictor-update"
-    FAULT = "fault-injected"
     SERVE_ENQUEUE = "serve-enqueue"
     SERVE_FLUSH = "serve-flush"
     SERVE_REJECT = "serve-reject"
@@ -90,9 +87,8 @@ class EventKind:
     #: Every kind, in a stable presentation order.
     ALL = (RENAME, ISSUE, RETIRE, SQUASH, COLLISION, VIOLATION,
            BANK_CONFLICT, FORWARD, MISS, STORE_TRACKED, STORE_DATA,
-           PREDICTOR_UPDATE, FAULT, SERVE_ENQUEUE, SERVE_FLUSH,
-           SERVE_REJECT, SERVE_DRAIN, SERVE_DEGRADE, HOTTRACE_ABORT,
-           BACKEND_DEGRADE)
+           PREDICTOR_UPDATE, SERVE_ENQUEUE, SERVE_FLUSH, SERVE_REJECT,
+           SERVE_DRAIN, SERVE_DEGRADE, HOTTRACE_ABORT, BACKEND_DEGRADE)
 
 
 class Event:

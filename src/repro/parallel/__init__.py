@@ -23,11 +23,8 @@ Layers
     Serial and pooled execution: deterministic merge (result order is
     fixed by job submission order, never completion order), failure
     propagation with the original worker traceback, and per-job /
-    per-worker timing records — plus the self-healing ladder: bounded
-    retries with backoff, a per-job timeout watchdog, pool rebuilds
-    after worker deaths with automatic serial fallback, and partial
-    (degraded) results via :class:`FailedJob` placeholders.  See
-    ``docs/robustness.md``.
+    per-worker timing records — plus self-healing after worker deaths:
+    pool rebuilds, then serial fallback.  See ``docs/robustness.md``.
 :mod:`repro.parallel.worker`
     The functions that actually run inside pool workers.
 
@@ -48,7 +45,6 @@ from repro.parallel.cache import (
 from repro.parallel.jobs import SimJob, derive_seed, registered_kinds, sim_job
 from repro.parallel.runner import (
     ExecutionPlan,
-    FailedJob,
     JobFailure,
     JobRecord,
     RunReport,
@@ -62,7 +58,6 @@ from repro.parallel.runner import (
 __all__ = [
     "CACHE_SCHEMA",
     "ExecutionPlan",
-    "FailedJob",
     "JobFailure",
     "JobRecord",
     "ResultCache",

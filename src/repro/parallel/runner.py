@@ -12,25 +12,17 @@ experiment modules never thread worker/cache knobs through their
 signatures; calling ``run_jobs`` outside any context runs serially with
 no cache — exactly the pre-parallel behaviour.
 
-Failure semantics — the self-healing ladder:
+Failure semantics:
 
-1. A job that raises is retried up to ``plan.max_retries`` times with
-   exponential backoff (``retry_backoff * 2**retry``); retries are
-   deferred, not slept in the merge loop, so other jobs keep draining.
-2. A worker-pool death (a worker segfaulted, was OOM-killed, or a
-   chaos plan ``os._exit``-ed it) loses *no finished work*: done
-   results are harvested, the pool is rebuilt, and unfinished jobs are
-   resubmitted — up to ``plan.max_pool_rebuilds`` times, after which
-   the remaining jobs fall back to serial in-process execution (where
-   process-level chaos faults never fire, by construction).
-3. With ``plan.job_timeout`` set, a heartbeat watchdog kills the pool
-   under any job running past its deadline and charges that job a
-   retry; queued-but-unstarted jobs are re-queued free of charge.
-4. A job that exhausts its retries either aborts the grid with
-   :class:`JobFailure` (default) or — with ``plan.allow_partial`` —
-   yields a :class:`FailedJob` placeholder so the rest of the grid
-   still completes; the run is then *degraded* and every failure is
-   recorded on the :class:`RunReport` for the manifest.
+* A job that raises aborts the grid with :class:`JobFailure`, carrying
+  the job and its original traceback.  It is not retried: jobs are pure
+  functions of their parameters, so it would raise the same way again.
+* A worker-pool death (a worker segfaulted, was OOM-killed, or a chaos
+  plan ``os._exit``-ed it) loses *no finished work*: done results are
+  harvested, the pool is rebuilt, and unfinished jobs are resubmitted —
+  up to :data:`MAX_POOL_REBUILDS` times, after which the remaining jobs
+  fall back to serial in-process execution (where chaos kills never
+  fire, by construction).  Both are counted on the :class:`RunReport`.
 
 ``KeyboardInterrupt`` terminates worker processes (no orphans), drops
 queued jobs, and propagates.
@@ -40,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -56,52 +47,25 @@ from repro.parallel.worker import (
     run_job_payload,
 )
 
+#: Worker-pool deaths tolerated (rebuild + resubmit) in one grid before
+#: the remaining jobs fall back to serial execution.
+MAX_POOL_REBUILDS = 2
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """How a grid of jobs should be executed.
 
     ``workers <= 1`` runs serially in-process; ``cache_dir=None`` or
-    ``use_cache=False`` disables the disk cache.  The default plan is
-    therefore exactly the historical serial behaviour: no retries, no
-    timeouts, fail on the first error.
-
-    Robustness knobs
-    ----------------
-    max_retries:
-        Per-job retry budget for jobs that raise or time out.
-    retry_backoff:
-        Base backoff in seconds; retry *n* of a job is deferred
-        ``retry_backoff * 2**(n-1)`` seconds.
-    job_timeout:
-        Per-job wall-clock budget in seconds (``None`` = unlimited).
-        Enforced by a heartbeat watchdog on the pooled path only.
-    heartbeat:
-        Watchdog poll interval in seconds.
-    allow_partial:
-        ``True`` replaces exhausted jobs with :class:`FailedJob`
-        placeholders instead of raising — the grid completes degraded.
-    max_pool_rebuilds:
-        Worker-pool deaths tolerated (rebuild + resubmit) before the
-        remaining jobs fall back to serial execution.
-    serial_fallback:
-        Whether that fallback is taken (``False`` raises instead).
-    fault_plan:
-        Optional :class:`repro.robust.faults.FaultPlan` shipped to the
-        workers — chaos-testing hook; process-level faults only ever
-        fire inside pool workers.
+    ``use_cache=False`` disables the disk cache.  ``fault_plan`` is an
+    optional :class:`repro.robust.faults.FaultPlan` shipped to the pool
+    workers — the chaos-testing hook; its kills only ever fire inside
+    pool workers.
     """
 
     workers: int = 0
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    max_retries: int = 0
-    retry_backoff: float = 0.1
-    job_timeout: Optional[float] = None
-    heartbeat: float = 0.25
-    allow_partial: bool = False
-    max_pool_rebuilds: int = 2
-    serial_fallback: bool = True
     fault_plan: Optional[object] = None
 
     @property
@@ -117,7 +81,7 @@ SERIAL_PLAN = ExecutionPlan()
 
 
 class JobFailure(RuntimeError):
-    """A job raised (or its worker died); carries the original context."""
+    """A job raised; carries the original context."""
 
     def __init__(self, job: SimJob, detail: str, attempts: int = 1) -> None:
         super().__init__(
@@ -126,26 +90,6 @@ class JobFailure(RuntimeError):
         self.job = job
         self.detail = detail
         self.attempts = attempts
-
-
-@dataclass(frozen=True)
-class FailedJob:
-    """Placeholder result for a job that exhausted its retries.
-
-    Only ever appears in ``run_jobs`` results under
-    ``plan.allow_partial``; consumers must test for it (or read the
-    report's ``failures``) before using grid results positionally.
-    """
-
-    kind: str
-    key: Tuple[object, ...]
-    error: str
-    attempts: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"status": "failed", "kind": self.kind,
-                "key": list(self.key), "error": self.error,
-                "attempts": self.attempts}
 
 
 @dataclass
@@ -159,7 +103,6 @@ class JobRecord:
     worker: str  # "serial" or the worker pid
     figure: str = ""
     attempts: int = 1
-    status: str = "ok"  # "ok" | "failed"
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -170,7 +113,6 @@ class JobRecord:
             "worker": self.worker,
             "figure": self.figure,
             "attempts": self.attempts,
-            "status": self.status,
         }
 
 
@@ -181,8 +123,6 @@ class RunReport:
     records: List[JobRecord] = field(default_factory=list)
     workers: int = 0
     cache_dir: Optional[str] = None
-    retries: int = 0
-    timeouts: int = 0
     pool_rebuilds: int = 0
     serial_fallbacks: int = 0
     failures: List[Dict[str, object]] = field(default_factory=list)
@@ -206,7 +146,8 @@ class RunReport:
 
     @property
     def degraded(self) -> bool:
-        """Did any job ultimately fail (partial results)?"""
+        """Did any figure fail (partial results)?  The CLI records one
+        entry in ``failures`` per figure lost to a :class:`JobFailure`."""
         return bool(self.failures)
 
     def worker_breakdown(self) -> Dict[str, Dict[str, float]]:
@@ -222,31 +163,23 @@ class RunReport:
         return out
 
     def tag(self, figure: str) -> None:
-        """Label all still-untagged records (and failures) with
-        ``figure``."""
+        """Label all still-untagged records with ``figure``."""
         for record in self.records:
             if not record.figure:
                 record.figure = figure
-        for failure in self.failures:
-            if not failure.get("figure"):
-                failure["figure"] = figure
 
     def extend(self, other: "RunReport") -> None:
         """Fold another report (e.g. one figure's) into this one."""
         self.records.extend(other.records)
-        self.retries += other.retries
-        self.timeouts += other.timeouts
         self.pool_rebuilds += other.pool_rebuilds
         self.serial_fallbacks += other.serial_fallbacks
         self.failures.extend(other.failures)
 
     def healing_summary(self) -> Dict[str, object]:
-        """The manifest's ``degraded`` section: every self-healing
-        action taken and every job lost."""
+        """The manifest's ``healing`` section: every self-healing
+        action taken and every figure lost."""
         return {
             "degraded": self.degraded,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
             "pool_rebuilds": self.pool_rebuilds,
             "serial_fallbacks": self.serial_fallbacks,
             "failures": list(self.failures),
@@ -306,8 +239,7 @@ def run_jobs(jobs: Sequence[SimJob], settings=None,
     Returns one result per job, **in the order of ``jobs``** regardless
     of completion order.  ``settings`` is folded into every cache key so
     results computed under different experiment settings never alias.
-    Under ``plan.allow_partial``, exhausted jobs yield
-    :class:`FailedJob` placeholders instead of aborting the grid.
+    Raises :class:`JobFailure` on the first job that raises.
     """
     if plan is None:
         plan = active_plan()
@@ -321,264 +253,121 @@ def run_jobs(jobs: Sequence[SimJob], settings=None,
     if plan.parallel and len(jobs) > 1:
         outcomes = _run_pooled(jobs, settings, plan, stats)
     else:
-        outcomes = _run_serial(jobs, settings, plan, stats)
-    results: List[object] = []
-    for job, (result, record) in zip(jobs, outcomes):
-        if report is not None:
-            report.records.append(record)
-        results.append(result)
+        cache = _open_cache(plan)
+        outcomes = [_run_one_serial(job, settings, cache)
+                    for job in jobs]
     if report is not None:
-        report.retries += stats.retries
-        report.timeouts += stats.timeouts
+        report.records.extend(record for _, record in outcomes)
         report.pool_rebuilds += stats.pool_rebuilds
         report.serial_fallbacks += stats.serial_fallbacks
-        report.failures.extend(stats.failures)
-    return results
+    return [result for result, _ in outcomes]
 
 
 Outcome = Tuple[object, JobRecord]
 
 
-def _failed_outcome(job: SimJob, detail: str, attempts: int,
-                    plan: ExecutionPlan, stats: RunReport) -> Outcome:
-    """Record an exhausted job; raises unless partial results are on."""
-    if not plan.allow_partial:
-        raise JobFailure(job, detail, attempts)
-    stats.failures.append({"kind": job.kind, "key": list(job.key),
-                           "attempts": attempts, "error": detail,
-                           "figure": ""})
-    record = JobRecord(kind=job.kind, key=job.key, wall_seconds=0.0,
-                       cache_hit=False, worker="failed",
-                       attempts=attempts, status="failed")
-    placeholder = FailedJob(kind=job.kind, key=job.key,
-                            error=detail, attempts=attempts)
-    return placeholder, record
-
-
-def _run_serial(jobs: Sequence[SimJob], settings, plan: ExecutionPlan,
-                stats: RunReport) -> List[Outcome]:
+def _open_cache(plan: ExecutionPlan) -> Optional[ResultCache]:
     cache_dir = plan.effective_cache_dir
-    cache = ResultCache(cache_dir) if cache_dir else None
-    out: List[Outcome] = []
-    for job in jobs:
-        out.append(_run_one_serial(job, settings, plan, cache, stats))
-    return out
+    return ResultCache(cache_dir) if cache_dir else None
 
 
-def _run_one_serial(job: SimJob, settings, plan: ExecutionPlan,
-                    cache: Optional[ResultCache],
-                    stats: RunReport) -> Outcome:
-    """One job on the serial path, honouring the retry budget.
-
-    Process-level chaos faults (kill/stall) never fire here — the
-    serial path is the safe harbour the pool falls back to.
-    """
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            result, wall, hit = execute_one(job, settings, cache)
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            detail = traceback.format_exc()
-            if attempts <= plan.max_retries:
-                stats.retries += 1
-                _backoff(plan, attempts)
-                continue
-            return _failed_outcome(job, detail, attempts, plan, stats)
-        return result, JobRecord(kind=job.kind, key=job.key,
-                                 wall_seconds=wall, cache_hit=hit,
-                                 worker="serial", attempts=attempts)
-
-
-def _backoff(plan: ExecutionPlan, attempts: int) -> None:
-    if plan.retry_backoff > 0:
-        time.sleep(plan.retry_backoff * (2 ** (attempts - 1)))
-
-
-@dataclass
-class _JobState:
-    """Watchdog bookkeeping for one not-yet-finished pooled job."""
-
-    index: int
-    job: SimJob
-    attempts: int = 0  # attempts handed to a worker so far
-    retries: int = 0   # error/timeout retries consumed
+def _run_one_serial(job: SimJob, settings, cache: Optional[ResultCache],
+                    attempts: int = 1) -> Outcome:
+    """One job in-process — the serial path, and the safe harbour the
+    pool falls back to: chaos kills never fire here."""
+    try:
+        result, wall, hit = execute_one(job, settings, cache)
+    except Exception:
+        raise JobFailure(job, traceback.format_exc(), attempts)
+    return result, JobRecord(kind=job.kind, key=job.key,
+                             wall_seconds=wall, cache_hit=hit,
+                             worker="serial", attempts=attempts)
 
 
 def _run_pooled(jobs: Sequence[SimJob], settings, plan: ExecutionPlan,
                 stats: RunReport) -> List[Outcome]:
     n_workers = min(plan.workers, len(jobs), (os.cpu_count() or 1) * 2)
     slots: List[Optional[Outcome]] = [None] * len(jobs)
-    states = {i: _JobState(i, job) for i, job in enumerate(jobs)}
-    unfinished = set(states)
+    #: attempts handed to a worker so far, per job (pool rebuilds
+    #: resubmit unfinished jobs)
+    attempts = [0] * len(jobs)
+    unfinished = set(range(len(jobs)))
     executor = _make_executor(n_workers, plan)
-    #: future -> (index, submission wall-clock time)
-    in_flight: Dict[Future, Tuple[int, float]] = {}
-    #: index -> earliest resubmission time (deferred retry backoff)
-    deferred: Dict[int, float] = {}
+    in_flight: Dict[Future, int] = {}
 
     def submit(index: int) -> None:
-        state = states[index]
-        state.attempts += 1
-        payload = (index, state.job, settings, state.attempts)
-        in_flight[executor.submit(run_job_payload, payload)] = \
-            (index, time.monotonic())
+        attempts[index] += 1
+        payload = (index, jobs[index], settings, attempts[index])
+        in_flight[executor.submit(run_job_payload, payload)] = index
 
-    def settle(index: int, outcome: Outcome) -> None:
-        slots[index] = outcome
+    def settle(index: int, payload: Dict[str, object]) -> None:
+        job = jobs[index]
+        slots[index] = (payload["result"], JobRecord(
+            kind=job.kind, key=job.key, wall_seconds=payload["wall"],
+            cache_hit=payload["cache_hit"],
+            worker=str(payload["worker"]), attempts=attempts[index]))
         unfinished.discard(index)
 
-    def handle_pool_death(resubmit: bool) -> None:
-        """Harvest done work, kill the pool, optionally rebuild it."""
-        nonlocal executor
-        for future, (index, _) in list(in_flight.items()):
-            if index not in unfinished:
-                continue
-            if future.done() and not future.cancelled():
+    def harvest_dead_pool() -> None:
+        """Keep every result that finished before the pool died, then
+        make sure the pool's processes are gone."""
+        for future, index in in_flight.items():
+            if (index in unfinished and future.done()
+                    and not future.cancelled()):
                 try:
                     payload = future.result()
                 except BaseException:
                     continue  # died with the pool; will resubmit
                 if payload.get("ok"):
-                    settle(index, _payload_outcome(states[index], payload))
+                    settle(index, payload)
         in_flight.clear()
         _shutdown(executor, kill=True)
-        if resubmit and unfinished:
-            executor = _make_executor(min(n_workers, len(unfinished)),
-                                      plan)
-            for index in sorted(unfinished):
-                if index not in deferred:
-                    submit(index)
-
-    def fail_attempt(index: int, detail: str, timed_out: bool) -> None:
-        state = states[index]
-        if timed_out:
-            stats.timeouts += 1
-        if state.retries < plan.max_retries:
-            state.retries += 1
-            stats.retries += 1
-            deferred[index] = (time.monotonic() + plan.retry_backoff
-                               * (2 ** (state.retries - 1)))
-        else:
-            settle(index, _failed_outcome(state.job, detail,
-                                          state.attempts, plan, stats))
 
     try:
         for index in range(len(jobs)):
             submit(index)
         while unfinished:
             try:
-                now = time.monotonic()
-                for index, due in sorted(deferred.items()):
-                    if index in unfinished and due <= now:
-                        del deferred[index]
-                        submit(index)
-                timeout = (plan.heartbeat
-                           if plan.job_timeout is not None or deferred
-                           else None)
-                done, _ = wait(set(in_flight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
                 for future in done:
-                    index, _started = in_flight.pop(future)
+                    index = in_flight.pop(future)
                     if index not in unfinished or future.cancelled():
                         continue
-                    state = states[index]
                     payload = future.result()
-                    if payload["ok"]:
-                        settle(index, _payload_outcome(state, payload))
-                    else:
-                        fail_attempt(index, payload["traceback"],
-                                     timed_out=False)
-                if plan.job_timeout is not None:
-                    _enforce_timeouts(plan, in_flight, unfinished,
-                                      states, submit, fail_attempt,
-                                      handle_pool_death)
+                    if not payload["ok"]:
+                        raise JobFailure(jobs[index], payload["traceback"],
+                                         attempts[index])
+                    settle(index, payload)
             except BrokenProcessPool:
                 # A worker died mid-grid (chaos kill, segfault, OOM).
-                # We cannot know which job killed it, so nobody is
-                # charged a retry; the rebuild budget bounds the loop,
-                # then the remaining jobs go serial — the safe harbour
-                # where process-level faults never fire.
-                if stats.pool_rebuilds >= plan.max_pool_rebuilds:
-                    if not plan.serial_fallback:
-                        survivor = states[min(unfinished)]
-                        raise JobFailure(
-                            survivor.job,
-                            "worker pool died repeatedly "
-                            f"({stats.pool_rebuilds} rebuilds) and "
-                            "serial fallback is disabled",
-                            survivor.attempts) from None
-                    handle_pool_death(resubmit=False)
-                    raise _SerialFallback() from None
+                # Nobody can tell which job killed it; the rebuild
+                # budget bounds the loop, then the remaining jobs go
+                # serial — the safe harbour where chaos kills never fire.
+                harvest_dead_pool()
+                if stats.pool_rebuilds >= MAX_POOL_REBUILDS:
+                    break
                 stats.pool_rebuilds += 1
-                handle_pool_death(resubmit=True)
-    except _SerialFallback:
-        stats.serial_fallbacks += 1
-        cache_dir = plan.effective_cache_dir
-        cache = ResultCache(cache_dir) if cache_dir else None
-        for index in sorted(unfinished):
-            settle(index, _run_one_serial(states[index].job, settings,
-                                          plan, cache, stats))
+                if unfinished:
+                    executor = _make_executor(
+                        min(n_workers, len(unfinished)), plan)
+                    for index in sorted(unfinished):
+                        submit(index)
     except (JobFailure, KeyboardInterrupt):
         # Abort the rest of the grid: terminate workers (no orphans),
         # drop queued jobs, then re-raise with the original context.
         _shutdown(executor, kill=True)
         raise
-    else:
-        executor.shutdown(wait=True)
+    executor.shutdown(wait=True)
+    if unfinished:
+        stats.serial_fallbacks += 1
+        cache = _open_cache(plan)
+        for index in sorted(unfinished):
+            slots[index] = _run_one_serial(jobs[index], settings, cache,
+                                           attempts[index] + 1)
     if plan.effective_cache_dir:
         ResultCache(plan.effective_cache_dir).sweep_stale_tmp()
     assert all(slot is not None for slot in slots)
     return slots  # type: ignore[return-value]
-
-
-class _SerialFallback(Exception):
-    """Internal control flow: the pool is done for, go serial."""
-
-
-def _payload_outcome(state: _JobState, payload: Dict[str, object]) -> Outcome:
-    record = JobRecord(kind=state.job.kind, key=state.job.key,
-                       wall_seconds=payload["wall"],
-                       cache_hit=payload["cache_hit"],
-                       worker=str(payload["worker"]),
-                       attempts=state.attempts)
-    return payload["result"], record
-
-
-def _enforce_timeouts(plan, in_flight, unfinished, states, submit,
-                      fail_attempt, handle_pool_death) -> None:
-    """Kill the pool under any job past its deadline.
-
-    The deadline is measured from submission; a queued job that never
-    started is simply cancelled and re-queued free of charge (its
-    ``future.cancel()`` succeeds), so only genuinely running overdue
-    jobs are charged a timeout.
-    """
-    now = time.monotonic()
-    overdue_running = []
-    for future, (index, started) in list(in_flight.items()):
-        if index not in unfinished or future.done():
-            continue
-        if now - started <= plan.job_timeout:
-            continue
-        if future.cancel():
-            del in_flight[future]
-            submit(index)  # was only queued; fresh deadline, no charge
-        else:
-            overdue_running.append(index)
-    if overdue_running:
-        for index in overdue_running:
-            fail_attempt(
-                index,
-                f"job exceeded its {plan.job_timeout}s timeout "
-                f"(attempt {states[index].attempts}); its worker was "
-                f"killed", timed_out=True)
-        # The only way to stop a running job is to kill its worker —
-        # which kills the whole pool; finished siblings are harvested
-        # and the rest resubmitted.  Deliberate, so not a "rebuild".
-        handle_pool_death(resubmit=True)
 
 
 def _make_executor(n_workers: int,

@@ -9,9 +9,9 @@ experiment job kind.
 
 Chaos support: the initializer also receives the plan's optional
 :class:`repro.robust.faults.FaultPlan`; each job consults it immediately
-before execution, which is where seeded worker kills (``os._exit``) and
-stalls fire.  Process-level faults *only* exist on this side of the
-fork — the runner's serial path never applies them.
+before execution, which is where seeded worker kills (``os._exit``)
+fire.  Kills *only* exist on this side of the fork — the runner's
+serial path never applies them.
 """
 
 from __future__ import annotations
@@ -69,19 +69,19 @@ def run_job_payload(payload: Tuple[int, SimJob, object, int]
 
     ``payload`` is ``(index, job, settings, attempt)`` — the attempt
     number (1-based) lets a seeded kill fault fire on the first attempt
-    and spare the retry, the self-healing happy path.
+    and spare the resubmission after the pool rebuild, the
+    self-healing happy path.
 
     Failures are returned as data (original traceback text + job key)
-    so the parent can retry or abort with full context instead of
-    hanging on a dead future.  ``KeyboardInterrupt`` propagates: the
-    parent owns cancellation.
+    so the parent can abort with full context instead of hanging on a
+    dead future.  ``KeyboardInterrupt`` propagates: the parent owns
+    cancellation.
     """
     index, job, settings, attempt = payload
     base = {"index": index, "worker": os.getpid(), "attempt": attempt}
     if _WORKER_FAULTS is not None:
-        # May os._exit (the parent sees a dead pool) or sleep (the
-        # parent's watchdog sees an overdue job).
-        _WORKER_FAULTS.pre_job_fault(job, attempt, in_worker=True)
+        # May os._exit: the parent sees a dead pool.
+        _WORKER_FAULTS.pre_job_fault(job, attempt)
     try:
         result, wall, hit = execute_one(job, settings, _WORKER_CACHE)
     except KeyboardInterrupt:

@@ -15,19 +15,19 @@ curves that are wrong.  This package is the correctness spine:
   recent event window for post-mortem.  Opt in per run with
   :func:`checked_run`, or globally with ``REPRO_CHECK_INVARIANTS=1``.
 
-* :mod:`repro.robust.faults` — a deterministic, seeded
-  :class:`FaultPlan` plus a library of saboteurs: predictor-output
-  flippers (CHT / HMP / bank), memory-latency injection, result-cache
-  corruption, worker kill/stall injection, and deliberately broken
-  engine components (:class:`SabotagedMOB`, :class:`SkipSquashMachine`,
-  :class:`LyingOrdering`) that chaos tests use to prove the oracle
-  catches real breakage and the runner degrades gracefully.
+* :mod:`repro.robust.faults` — the deterministic, seeded
+  :class:`FaultPlan` behind ``--chaos`` (worker kills and result-cache
+  corruption) and the serve fleet's :class:`FleetFaultPlan`.  The
+  deliberately broken engine components that prove the oracle catches
+  real breakage, and the predictor wrappers that flip speculation
+  under it, live with the tests that use them
+  (``tests/robust/test_invariants.py``, ``tests/robust/test_faults.py``).
 
-The self-healing execution side (per-job timeouts, bounded retries,
-pool-to-serial fallback, partial-result reporting) lives in
-:mod:`repro.parallel.runner` and consumes :class:`FaultPlan` via
+The self-healing execution side (pool rebuilds after worker deaths,
+then serial fallback) lives in :mod:`repro.parallel.runner` and
+consumes :class:`FaultPlan` via
 :class:`~repro.parallel.runner.ExecutionPlan`.  See
-``docs/robustness.md`` for the full catalogue and knobs.
+``docs/robustness.md`` for each guarantee and the test that proves it.
 """
 
 from repro.robust.invariants import (
@@ -37,32 +37,16 @@ from repro.robust.invariants import (
 )
 from repro.robust.faults import (
     FaultPlan,
-    FaultyBankPredictor,
-    FaultyCHT,
-    FaultyHMP,
     KILL_EXIT_CODE,
-    LatencyFaultHierarchy,
-    LyingOrdering,
-    SabotagedMOB,
-    SkipSquashMachine,
-    apply_fault_plan,
     corrupt_cache,
     parse_chaos_spec,
 )
 
 __all__ = [
     "FaultPlan",
-    "FaultyBankPredictor",
-    "FaultyCHT",
-    "FaultyHMP",
     "InvariantChecker",
     "InvariantViolation",
     "KILL_EXIT_CODE",
-    "LatencyFaultHierarchy",
-    "LyingOrdering",
-    "SabotagedMOB",
-    "SkipSquashMachine",
-    "apply_fault_plan",
     "checked_run",
     "corrupt_cache",
     "parse_chaos_spec",

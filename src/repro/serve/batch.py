@@ -22,7 +22,9 @@ the paths above on any guard failure.  A window long enough for either
 the kernel or the memo is packed once into one int64 lane block
 (:func:`pack_lanes`): the kernel reads it and the memo keys on its
 bytes.  The executors report which path answered (``via`` in
-``{"scalar", "kernel", "hottrace"}``).
+``{"scalar", "kernel", "hottrace"}``) and, for a window long enough
+for the kernel that still ran scalar on the vectorized backend, why
+(the degrade reason shards count).
 
 The service's correctness invariant is the package-wide one: batched
 results and post-batch predictor state bit-identical to the sequential
@@ -122,15 +124,12 @@ VIA_KERNEL = "kernel"
 VIA_HOTTRACE = "hottrace"
 
 
-def degrade_reason(session, backend: str) -> Optional[str]:
+def degrade_reason(session) -> Optional[str]:
     """Why a vectorized-backend session would execute scalar, or None.
 
-    The structured counterpart of the silent fallback inside
-    :func:`execute_step_arrays_ex`: shards use it to count (and emit) a
-    degrade exactly when a long-enough run lands on the scalar loop
-    despite the vectorized backend being requested."""
-    if backend != "vectorized":
-        return None
+    :func:`execute_step_arrays_ex` asks once per kernel-length window
+    and returns the answer beside ``via``, so shards count (and emit)
+    a degrade exactly when such a window lands on the scalar loop."""
     import repro.fastpath as fastpath
     if not fastpath.HAS_NUMPY:
         return "no_numpy"
@@ -143,13 +142,14 @@ def degrade_reason(session, backend: str) -> Optional[str]:
 def execute_steps_ex(session, requests: Sequence[PredictRequest],
                      backend: str, min_kernel_run: int,
                      memo: HotTraceEngine, check: bool = False
-                     ) -> Tuple[List[int], str]:
+                     ) -> Tuple[List[int], str, Optional[str]]:
     """Execute one same-session run of ``step`` requests.
 
-    Returns ``(results, via)``.  The kernel path is taken only when it
-    is exact for this predictor and the run is long enough; with
-    ``check`` it is shadow-checked against :func:`scalar_steps` on a
-    deep copy of the pre-batch state.
+    Returns ``(results, via, degrade)`` (see
+    :func:`execute_step_arrays_ex`).  The kernel path is taken only
+    when it is exact for this predictor and the run is long enough;
+    with ``check`` it is shadow-checked against :func:`scalar_steps`
+    on a deep copy of the pre-batch state.
     """
     pcs = [r.pc for r in requests]
     outcomes = [0 if r.outcome is None else int(r.outcome)
@@ -182,10 +182,15 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
                            distances: Sequence[int], backend: str,
                            min_kernel_run: int, memo: HotTraceEngine,
                            check: bool = False
-                           ) -> Tuple[List[int], str]:
+                           ) -> Tuple[List[int], str, Optional[str]]:
     """The array-form core of :func:`execute_steps_ex` (``-1`` distance
     = none) — also the execution path of ``replay`` windows, which
     arrive as arrays and never materialise per-step request objects.
+
+    Returns ``(results, via, degrade)``: ``degrade`` is the
+    :func:`degrade_reason` of a kernel-length window that ran scalar on
+    the vectorized backend, else ``None`` (a lane outside int64 runs
+    scalar without one: the predictor has a kernel).
 
     ``memo`` is the shard's :class:`repro.fastpath.hottrace.
     HotTraceEngine`.  A guarded memo hit answers the window without
@@ -196,8 +201,11 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
     ``ExecutionPolicy.invariants_active()``).
     """
     n = len(pcs)
-    use_kernel = (n >= max(1, min_kernel_run) and backend == "vectorized"
-                  and degrade_reason(session, backend) is None)
+    degrade = None
+    use_kernel = n >= max(1, min_kernel_run) and backend == "vectorized"
+    if use_kernel:
+        degrade = degrade_reason(session)
+        use_kernel = degrade is None
     memoize = n >= MIN_TRACE_LEN
     try:
         lanes = (pack_lanes(pcs, outcomes, distances)
@@ -209,7 +217,7 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
     if memoize:
         cached = memo.try_replay(session, lanes, check)
         if cached is not None:
-            return cached, VIA_HOTTRACE
+            return cached, VIA_HOTTRACE, None
 
     try:
         if not use_kernel:
@@ -241,7 +249,7 @@ def execute_step_arrays_ex(session, pcs: Sequence[int],
         memo.record(session, lanes, results)
     else:
         HotTraceEngine.note_mutation(session)  # too short to memoize
-    return results, via
+    return results, via, degrade
 
 
 def _checked_kernel(session, block, pcs: Sequence[int],
@@ -283,10 +291,11 @@ def replay_digest(results: Sequence[int]) -> int:
 
 def execute_replay_ex(session, request: PredictRequest, backend: str,
                       min_kernel_run: int, memo: HotTraceEngine,
-                      check: bool = False) -> Tuple[int, int, str]:
+                      check: bool = False
+                      ) -> Tuple[int, int, str, Optional[str]]:
     """Execute one ``replay`` request's trace window.
 
-    Returns ``(digest, n_steps, via)``.  Exactly equivalent to
+    Returns ``(digest, n_steps, via, degrade)``.  Exactly equivalent to
     submitting the window as individual ``step`` requests (same kernel
     dispatch rules, same invariant shadow-check via
     :func:`execute_step_arrays_ex`), but the window is one admission
@@ -297,7 +306,7 @@ def execute_replay_ex(session, request: PredictRequest, backend: str,
     outcomes = request.outcomes or ()
     distances = (request.distances if request.distances is not None
                  else [-1] * len(pcs))
-    results, via = execute_step_arrays_ex(
+    results, via, degrade = execute_step_arrays_ex(
         session, pcs, outcomes, distances, backend, min_kernel_run,
         memo, check)
-    return replay_digest(results), len(results), via
+    return replay_digest(results), len(results), via, degrade

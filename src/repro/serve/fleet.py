@@ -92,9 +92,6 @@ from repro.serve.snapshot import (
 )
 from repro.serve.wal import WriteAheadLog
 
-#: Exit code of a fault-plan kill (mirrors repro.robust.faults).
-KILLED_EXIT = 86
-
 _MANIFEST = "fleet.json"
 
 

@@ -31,10 +31,8 @@ from repro.obs.events import EventKind
 from repro.serve.batch import (
     VIA_HOTTRACE,
     VIA_KERNEL,
-    VIA_SCALAR,
     apply_predict,
     apply_update,
-    degrade_reason,
     execute_replay_ex,
     execute_steps_ex,
 )
@@ -294,14 +292,12 @@ class Shard:
                                                  check)
         return used_kernel
 
-    def _note_degrade(self, session: Session, n: int,
-                      backend: str) -> None:
-        """Account a long-enough run that fell off the vectorized path
-        (counter always, obs event once per (session, reason))."""
-        if backend != "vectorized" or n < self.config.min_kernel_run:
-            return
-        reason = degrade_reason(session, backend)
-        if reason is None:  # pragma: no cover - raced eligibility
+    def _note_degrade(self, session: Session,
+                      reason: Optional[str]) -> None:
+        """Account a long-enough run that fell off the vectorized path,
+        as the executor reported it (counter always, obs event once per
+        (session, reason))."""
+        if reason is None:
             return
         self.degraded += 1
         key = (session.session_id, reason)
@@ -378,12 +374,11 @@ class Shard:
         spans = [item.span for item in run if item.span is not None]
         for span in spans:
             span.mark("batch")
-        results, via = execute_steps_ex(
+        results, via, degrade = execute_steps_ex(
             session, [item.request for item in run], backend,
             self.config.min_kernel_run, self.hottrace, check)
         used_kernel = via == VIA_KERNEL
-        if via == VIA_SCALAR:
-            self._note_degrade(session, len(run), backend)
+        self._note_degrade(session, degrade)
         self._note_hottrace()
         stage = ("kernel" if used_kernel
                  else "hottrace" if via == VIA_HOTTRACE else "predict")
@@ -441,12 +436,11 @@ class Shard:
         execute_replay_ex`); ``served`` counts its steps."""
         if item.span is not None:
             item.span.mark("batch")
-        digest, n_steps, via = execute_replay_ex(
+        digest, n_steps, via, degrade = execute_replay_ex(
             session, item.request, backend,
             self.config.min_kernel_run, self.hottrace, check)
         used_kernel = via == VIA_KERNEL
-        if via == VIA_SCALAR:
-            self._note_degrade(session, n_steps, backend)
+        self._note_degrade(session, degrade)
         self._note_hottrace()
         if item.span is not None:
             item.span.mark("kernel" if used_kernel

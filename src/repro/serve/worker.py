@@ -55,6 +55,7 @@ from typing import List, Optional, Set
 import asyncio
 
 from repro.api import PredictorSpec
+from repro.robust.faults import KILL_EXIT_CODE
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import (
     ERR_RETRY,
@@ -102,7 +103,7 @@ class _Doom:
         self.submitted += 1
         if self.kill_point is not None and self.submitted > self.kill_point:
             # A mid-batch hard death: no drain, no flush, no goodbye.
-            os._exit(86)
+            os._exit(KILL_EXIT_CODE)
 
 
 async def _run_batch(service: PredictionService, gate: _WriteGate,

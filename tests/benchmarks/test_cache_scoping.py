@@ -66,10 +66,9 @@ class TestConftestFixture:
             plan = active_plan()
             assert plan.effective_cache_dir == cache_dir
             assert pathlib.Path(cache_dir).parent == tmp_path
-            # Timing semantics unchanged: serial, no retries/timeouts.
+            # Timing semantics unchanged: serial, no chaos.
             assert plan.workers == SERIAL_PLAN.workers
-            assert plan.max_retries == SERIAL_PLAN.max_retries
-            assert plan.job_timeout == SERIAL_PLAN.job_timeout
+            assert plan.fault_plan == SERIAL_PLAN.fault_plan
         assert active_plan() is outer
 
     def test_jobs_inside_the_context_use_the_tmp_cache(self, tmp_path):

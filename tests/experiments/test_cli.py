@@ -34,11 +34,27 @@ class TestExperimentsCli:
             experiments_main(["fig12", "--uops", "0"])
         assert excinfo.value.code == 2
 
-    def test_bad_chaos_spec_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--chaos", "worker-kil"],
+        # faults the runner does not inject
+        ["--chaos", "flip-hmp"],
+        ["--chaos", "flip-cht=0.1"],
+        ["--chaos", "flip-bank"],
+        ["--chaos", "latency=40"],
+        ["--chaos", "worker-stall"],
+        ["--chaos", "stall-seconds=1"],
+        # healing knobs that do not exist
+        ["--retries", "2"],
+        ["--timeout", "5"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bad_chaos_spec_is_a_usage_error(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            experiments_main(["fig12", "--chaos", "worker-kil"])
+            experiments_main(["fig12", "--uops", "2000",
+                              "--traces-per-group", "1"] + flags)
         assert excinfo.value.code == 2
-        assert "choose from" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("choose from" in err if flags[0] == "--chaos"
+                else "unrecognized arguments" in err)
 
 
 class TestExitCodeContract:
@@ -56,14 +72,12 @@ class TestExitCodeContract:
         json_path = tmp_path / "out.json"
         rc = experiments_main(["classification", "--uops", "3000",
                                "--traces-per-group", "1",
-                               "--retries", "0",
                                "--json", str(json_path)])
         # fig12 was not requested: the healthy figures complete fine.
         assert rc == 0
 
         rc = experiments_main(["fig12", "--uops", "3000",
                                "--traces-per-group", "1",
-                               "--retries", "0",
                                "--json", str(json_path)])
         assert rc == EXIT_DEGRADED
         err = capsys.readouterr().err
@@ -85,7 +99,6 @@ class TestExitCodeContract:
         json_path = tmp_path / "out.json"
         rc = experiments_main(["classification", "--uops", "3000",
                                "--traces-per-group", "1",
-                               "--retries", "0",
                                "--json", str(json_path),
                                "--obs-dir", str(tmp_path / "obs")])
         assert rc == EXIT_DEGRADED
@@ -111,7 +124,7 @@ class TestExitCodeContract:
         json_path = tmp_path / "out.json"
         rc = experiments_main(["classification", "--uops", "3000",
                                "--traces-per-group", "1",
-                               "--retries", "0", "--fail-fast",
+                               "--fail-fast",
                                "--json", str(json_path)])
         assert rc == EXIT_DEGRADED
         payload = json.loads(json_path.read_text())

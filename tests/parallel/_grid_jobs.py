@@ -35,7 +35,7 @@ def flaky(counter_file: str, fail_times: int) -> int:
     """Fail the first ``fail_times`` calls, then succeed.
 
     Attempts are counted in a file so the count survives process
-    boundaries (each pooled retry may land in a different worker).
+    boundaries (a pooled job runs in a worker, not the test process).
     """
     import os
 

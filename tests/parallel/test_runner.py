@@ -6,7 +6,6 @@ import pytest
 
 from repro.parallel import (
     ExecutionPlan,
-    FailedJob,
     JobFailure,
     SERIAL_PLAN,
     SimJob,
@@ -161,63 +160,14 @@ def _flaky_job(tmp_path, fail_times, tag="a"):
 
 
 class TestRetries:
-    def test_serial_retry_then_succeed(self, tmp_path):
-        plan = ExecutionPlan(workers=0, max_retries=2,
-                             retry_backoff=0.0)
-        with execution(plan) as report:
-            results = run_jobs([_flaky_job(tmp_path, fail_times=2)])
-        assert results == [3]  # succeeded on the third attempt
-        assert report.retries == 2
-        assert report.records[0].attempts == 3
-        assert report.records[0].status == "ok"
-
-    def test_pooled_retry_then_succeed(self, tmp_path):
-        plan = ExecutionPlan(workers=2, max_retries=2,
-                             retry_backoff=0.01)
-        with execution(plan) as report:
-            results = run_jobs([_flaky_job(tmp_path, 2, "p")]
-                               + _squares([1, 2]))
-        assert results == [3, 1, 4]
-        assert report.retries == 2
-
-    def test_retries_exhausted_still_fails(self, tmp_path):
-        plan = ExecutionPlan(workers=0, max_retries=1,
-                             retry_backoff=0.0)
-        with execution(plan):
-            with pytest.raises(JobFailure) as excinfo:
-                run_jobs([_flaky_job(tmp_path, fail_times=5)])
-        assert excinfo.value.attempts == 2
-        assert "after 2 attempt(s)" in str(excinfo.value)
-
     def test_default_plan_does_not_retry(self, tmp_path):
-        # Historical behaviour is the default: first failure aborts.
+        # Jobs are pure, so a job that raises would raise again: the
+        # first failure aborts the grid and the job ran exactly once.
+        job = _flaky_job(tmp_path, fail_times=1)
         with pytest.raises(JobFailure) as excinfo:
-            run_jobs([_flaky_job(tmp_path, fail_times=1)])
+            run_jobs([job])
         assert excinfo.value.attempts == 1
-
-
-class TestPartialResults:
-    def test_failed_jobs_become_placeholders(self):
-        plan = ExecutionPlan(workers=0, allow_partial=True)
-        jobs = _squares([2]) \
-            + [SimJob.make(_grid_jobs.fail, key=("fail", 9), x=9)] \
-            + _squares([3])
-        with execution(plan) as report:
-            results = run_jobs(jobs)
-        assert results[0] == 4 and results[2] == 9
-        placeholder = results[1]
-        assert isinstance(placeholder, FailedJob)
-        assert placeholder.key == ("fail", 9)
-        assert "boom on 9" in placeholder.error
-        assert report.degraded
-        assert [f["key"] for f in report.failures] == [["fail", 9]]
-        statuses = [r.status for r in report.records]
-        assert statuses == ["ok", "failed", "ok"]
-
-    def test_as_dict_round_trips(self):
-        placeholder = FailedJob(kind="k", key=("a", 1), error="e",
-                                attempts=2)
-        assert placeholder.as_dict()["status"] == "failed"
+        assert (tmp_path / "count-a").read_text() == "1"
 
 
 class TestCancellation:

@@ -2,8 +2,8 @@
 
 The acceptance bar for the self-healing runner: a grid executed under a
 :class:`~repro.robust.faults.FaultPlan` returns results byte-identical
-to a clean serial run for every unaffected job, and the run report
-records every retry, rebuild and fallback taken along the way.
+to a clean serial run, and the run report records every pool rebuild
+and serial fallback taken along the way.
 """
 
 import json
@@ -12,13 +12,13 @@ import pytest
 
 from repro.parallel import (
     ExecutionPlan,
-    FailedJob,
     ResultCache,
     SERIAL_PLAN,
     SimJob,
     execution,
     run_jobs,
 )
+from repro.parallel.runner import MAX_POOL_REBUILDS
 from repro.robust import FaultPlan
 from tests.parallel import _grid_jobs
 
@@ -51,7 +51,6 @@ class TestKillChaosParity:
         assert healing["failures"] == []
         # Healed jobs record the extra attempt.
         assert any(r.attempts > 1 for r in report.records)
-        assert all(r.status == "ok" for r in report.records)
 
     def test_target_kinds_shield_other_job_kinds(self):
         # Kills confined to a kind not present in the grid: the pool
@@ -64,44 +63,21 @@ class TestKillChaosParity:
             results = run_jobs(_squares())
         assert results == [x * x for x in range(8)]
         assert report.pool_rebuilds == 0
-        assert report.retries == 0
 
     def test_repeated_pool_deaths_fall_back_to_serial(self):
         # Kills fire on every attempt: the pool can never make
         # progress, so after the rebuild budget the runner must finish
-        # the grid serially (where process faults never fire).
+        # the grid serially (where chaos kills never fire).
         plan = ExecutionPlan(
-            workers=2, max_pool_rebuilds=1,
+            workers=2,
             fault_plan=FaultPlan(seed=3, kill_fraction=1.0,
                                  kill_attempts=99))
         with execution(plan) as report:
             results = run_jobs(_squares(4))
         assert results == [x * x for x in range(4)]
         assert report.serial_fallbacks == 1
-        assert report.pool_rebuilds == 1
+        assert report.pool_rebuilds == MAX_POOL_REBUILDS
         assert not report.degraded
-
-
-class TestStallChaos:
-    def test_timeout_watchdog_reaps_stalled_workers(self):
-        # Every job stalls longer than the timeout on every attempt, so
-        # each exhausts its retries; allow_partial turns the losses
-        # into placeholders instead of aborting the grid.
-        plan = ExecutionPlan(
-            workers=2, job_timeout=0.3, heartbeat=0.05, max_retries=1,
-            retry_backoff=0.01, allow_partial=True,
-            fault_plan=FaultPlan(seed=3, stall_fraction=1.0,
-                                 stall_seconds=30.0))
-        with execution(plan) as report:
-            results = run_jobs(_squares(2))
-        assert all(isinstance(r, FailedJob) for r in results)
-        assert report.timeouts >= 1
-        assert report.degraded
-        assert len(report.failures) == 2
-        # attempts counts every (re)start, including free resubmits of
-        # collateral jobs after a timeout kill — at least the charged
-        # retry budget, possibly more.
-        assert all(f["attempts"] >= 2 for f in report.failures)
 
 
 class TestCacheCorruptionChaos:

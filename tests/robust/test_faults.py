@@ -1,25 +1,34 @@
-"""Deterministic fault injection: plans, chaos specs, saboteur wiring."""
+"""Deterministic fault injection: plans, chaos specs, cache corruption,
+and flipped speculation under the invariant oracle.
+
+The predictor and hierarchy wrappers below are test fixtures: the
+engine has no fault hooks, so a faulted machine is built here by
+wrapping its components before the run.
+"""
+
+import dataclasses
 
 import pytest
 
+from repro.bank.address_based import AddressBankPredictor
+from repro.bank.base import BankPrediction, BankPredictor
+from repro.cht.base import CollisionPrediction, CollisionPredictor
 from repro.cht.full import FullCHT
-from repro.common.config import MemoryConfig
+from repro.common.config import BASELINE_MACHINE, CacheConfig, MemoryConfig
 from repro.engine.machine import Machine
 from repro.engine.ordering import make_scheme
+from repro.experiments.harness import get_trace
+from repro.hitmiss.base import HitMissPredictor
 from repro.hitmiss.oracle import AlwaysHitHMP
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.parallel import ResultCache, SimJob
+from repro.parallel import ExecutionPlan, ResultCache, SimJob, run_jobs
 from repro.robust import (
     FaultPlan,
-    FaultyBankPredictor,
-    FaultyCHT,
-    FaultyHMP,
-    LatencyFaultHierarchy,
-    apply_fault_plan,
+    checked_run,
     corrupt_cache,
     parse_chaos_spec,
 )
-from repro.bank.base import BankPrediction, BankPredictor
+from repro.robust.faults import _roll
 from tests.parallel import _grid_jobs
 
 
@@ -30,12 +39,12 @@ def _jobs(n=16):
 
 class TestFaultPlan:
     def test_decisions_are_deterministic(self):
-        plan = FaultPlan(seed=7, kill_fraction=0.5, stall_fraction=0.5)
-        first = [(plan.kills(j, 1), plan.stalls(j)) for j in _jobs()]
-        second = [(plan.kills(j, 1), plan.stalls(j)) for j in _jobs()]
+        plan = FaultPlan(seed=7, kill_fraction=0.5)
+        first = [plan.kills(j, 1) for j in _jobs()]
+        second = [plan.kills(j, 1) for j in _jobs()]
         assert first == second
-        assert any(k for k, _ in first)
-        assert not all(k for k, _ in first)
+        assert any(first)
+        assert not all(first)
 
     def test_different_seeds_fault_different_jobs(self):
         a = FaultPlan(seed=1, kill_fraction=0.5)
@@ -55,23 +64,21 @@ class TestFaultPlan:
         job = _jobs(1)[0]
         assert not plan.targets(job)
         assert not plan.kills(job, 1)
-        assert not plan.stalls(job)
 
     def test_pre_job_fault_never_fires_outside_a_worker(self):
-        # kill_fraction=1.0 would os._exit(); surviving this call *is*
-        # the assertion that the serial path is a safe harbour.
-        plan = FaultPlan(seed=0, kill_fraction=1.0)
-        plan.pre_job_fault(_jobs(1)[0], attempt=1, in_worker=False)
+        # kill_fraction=1.0 would os._exit() in a pool worker;
+        # surviving this serial run *is* the assertion that the serial
+        # path is a safe harbour.
+        plan = ExecutionPlan(workers=0,
+                             fault_plan=FaultPlan(kill_fraction=1.0))
+        assert run_jobs(_jobs(2), plan=plan) == [0, 1]
 
-    def test_wants_flags_and_as_dict(self):
-        assert not FaultPlan().wants_process_faults
-        assert not FaultPlan().wants_machine_faults
-        assert FaultPlan(kill_fraction=0.1).wants_process_faults
-        assert FaultPlan(flip_hmp=0.1).wants_machine_faults
-        assert FaultPlan(extra_load_latency=5).wants_machine_faults
+    def test_as_dict(self):
         out = FaultPlan(seed=3, target_kinds=("a",)).as_dict()
         assert out["seed"] == 3
         assert out["target_kinds"] == ["a"]
+        assert sorted(out) == ["corrupt_cache_fraction", "kill_attempts",
+                               "kill_fraction", "seed", "target_kinds"]
 
 
 class TestParseChaosSpec:
@@ -80,20 +87,13 @@ class TestParseChaosSpec:
         assert plan.seed == 9
         assert plan.kill_fraction == 0.3
         assert plan.corrupt_cache_fraction == 0.5
-        assert plan.stall_fraction == 0.0
 
     def test_explicit_values_and_kinds(self):
         plan = parse_chaos_spec(
-            "worker-kill=0.5, worker-stall=0.25, stall-seconds=0.01, "
-            "flip-cht=0.1, flip-hmp=0.2, flip-bank=0.3, latency=7, "
+            "worker-kill=0.5, cache-corrupt=0.25, "
             "kind=classification, kind=ordering-speedups")
         assert plan.kill_fraction == 0.5
-        assert plan.stall_fraction == 0.25
-        assert plan.stall_seconds == 0.01
-        assert plan.flip_cht == 0.1
-        assert plan.flip_hmp == 0.2
-        assert plan.flip_bank == 0.3
-        assert plan.extra_load_latency == 7
+        assert plan.corrupt_cache_fraction == 0.25
         assert plan.target_kinds == ("classification",
                                      "ordering-speedups")
 
@@ -151,6 +151,123 @@ class TestCorruptCache:
         assert hit and payload == {"value": 0}
 
 
+# ---------------------------------------------------------------------------
+# Speculation faults: wrappers that flip a seeded fraction of predictions
+# ---------------------------------------------------------------------------
+
+
+class _Flipper:
+    """Seeded per-call flip decision shared by the wrappers below."""
+
+    def __init__(self, inner, flip_fraction: float, seed: int,
+                 salt: str) -> None:
+        self.inner = inner
+        self.flip_fraction = flip_fraction
+        self.seed = seed
+        self.salt = salt
+        self.flips = 0
+        self._calls = 0
+
+    def _flip(self, pc: int) -> bool:
+        self._calls += 1
+        if _roll(self.seed, self.salt, pc, self._calls) < self.flip_fraction:
+            self.flips += 1
+            return True
+        return False
+
+    @property
+    def storage_bits(self) -> int:
+        return self.inner.storage_bits
+
+
+class FaultyHMP(_Flipper, HitMissPredictor):
+    """A hit-miss predictor whose predictions are flipped."""
+
+    def __init__(self, inner, flip_fraction, seed=0):
+        super().__init__(inner, flip_fraction, seed, "hmp")
+
+    def predict_hit(self, pc, line=None, now=0):
+        prediction = self.inner.predict_hit(pc, line, now)
+        return (not prediction) if self._flip(pc) else prediction
+
+    def update(self, pc, hit, line=None, now=0):
+        self.inner.update(pc, hit, line, now)
+
+
+class FaultyCHT(_Flipper, CollisionPredictor):
+    """A CHT whose collision predictions are flipped."""
+
+    def __init__(self, inner, flip_fraction, seed=0):
+        super().__init__(inner, flip_fraction, seed, "cht")
+
+    def lookup(self, pc):
+        prediction = self.inner.lookup(pc)
+        if self._flip(pc):
+            return CollisionPrediction(colliding=not prediction.colliding,
+                                       distance=None)
+        return prediction
+
+    def train(self, pc, collided, distance=None):
+        self.inner.train(pc, collided, distance)
+
+
+class FaultyBankPredictor(_Flipper, BankPredictor):
+    """A bank predictor deranging predictions to the next bank."""
+
+    def __init__(self, inner, flip_fraction, seed=0):
+        super().__init__(inner, flip_fraction, seed, "bank")
+        self.n_banks = inner.n_banks
+
+    def predict(self, pc):
+        prediction = self.inner.predict(pc)
+        if prediction.predicted and self._flip(pc):
+            return BankPrediction(bank=(prediction.bank + 1)
+                                  % max(2, self.n_banks),
+                                  confidence=prediction.confidence)
+        return prediction
+
+    def update(self, pc, bank, address=None):
+        self.inner.update(pc, bank, address)
+
+
+class LatencyFaultHierarchy:
+    """A memory hierarchy whose every load takes ``extra`` more cycles."""
+
+    def __init__(self, inner, extra: int) -> None:
+        self._inner = inner
+        self.extra = extra
+        self.injected = 0
+
+    def load(self, address, now=0):
+        outcome = self._inner.load(address, now)
+        self.injected += 1
+        return outcome._replace(latency=outcome.latency + self.extra)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    @property
+    def obs(self):
+        return self._inner.obs
+
+    @obs.setter
+    def obs(self, bus) -> None:
+        self._inner.obs = bus
+
+
+def _faulted(machine, seed=5, flip=0.2, extra_latency=3):
+    """Wrap ``machine``'s predictors and hierarchy in place."""
+    machine.hmp = FaultyHMP(machine.hmp, flip, seed)
+    if getattr(machine.scheme, "cht", None) is not None:
+        machine.scheme.cht = FaultyCHT(machine.scheme.cht, flip, seed)
+    if machine.bank_predictor is not None:
+        machine.bank_predictor = FaultyBankPredictor(
+            machine.bank_predictor, flip, seed)
+    machine.hierarchy = LatencyFaultHierarchy(machine.hierarchy,
+                                              extra_latency)
+    return machine
+
+
 class _FixedBank(BankPredictor):
     n_banks = 4
 
@@ -201,34 +318,38 @@ class TestPredictorFaultWrappers:
         assert faulty.injected == 1
         assert faulty.config is faulty._inner.config  # delegation
 
-    def test_apply_fault_plan_wraps_components(self):
-        machine = Machine(scheme=make_scheme("inclusive"))
-        plan = FaultPlan(flip_hmp=0.1, flip_cht=0.1,
-                         extra_load_latency=3)
-        apply_fault_plan(machine, plan)
-        assert isinstance(machine.hmp, FaultyHMP)
-        assert isinstance(machine.scheme.cht, FaultyCHT)
-        assert isinstance(machine.hierarchy, LatencyFaultHierarchy)
 
-    def test_apply_noop_plan_leaves_machine_alone(self):
-        machine = Machine(scheme=make_scheme("inclusive"))
-        hmp, cht = machine.hmp, machine.scheme.cht
-        apply_fault_plan(machine, FaultPlan())
-        assert machine.hmp is hmp
-        assert machine.scheme.cht is cht
+def _banked_machine():
+    memory = dataclasses.replace(
+        BASELINE_MACHINE.memory,
+        l1d=CacheConfig(size_bytes=16 * 1024, n_banks=2))
+    config = dataclasses.replace(BASELINE_MACHINE, memory=memory)
+    return Machine(config=config, scheme=make_scheme("inclusive"),
+                   bank_policy="predicted",
+                   bank_predictor=AddressBankPredictor())
 
 
 class TestFaultedRunsStayCorrect:
-    def test_flipped_predictions_cannot_break_invariants(self):
-        # Predictor flips perturb speculation only; the machine's
-        # recovery must absorb them with zero invariant violations.
-        from repro.experiments.harness import get_trace
-        from repro.robust import checked_run
+    """Flipped speculation costs cycles, never correctness: the faulted
+    machine retires the same uop stream with zero invariant
+    violations."""
 
-        machine = Machine(scheme=make_scheme("inclusive"))
-        apply_fault_plan(machine, FaultPlan(seed=5, flip_cht=0.2,
-                                            flip_hmp=0.2,
-                                            extra_load_latency=3))
-        _, checker = checked_run(machine, get_trace("gcc", 2000))
+    def test_flipped_predictions_cannot_break_invariants(self):
+        trace = get_trace("gcc", 2000)
+        clean = Machine(scheme=make_scheme("inclusive")).run(trace)
+        machine = _faulted(Machine(scheme=make_scheme("inclusive")))
+        result, checker = checked_run(machine, trace)
         assert checker.ok
+        assert result.retired_uops == clean.retired_uops == len(trace.uops)
         assert machine.scheme.cht.flips > 0
+        assert machine.hmp.flips > 0
+        assert machine.hierarchy.injected > 0
+
+    def test_deranged_bank_predictions_cannot_break_invariants(self):
+        trace = get_trace("gcc", 2000)
+        clean = _banked_machine().run(trace)
+        machine = _faulted(_banked_machine())
+        result, checker = checked_run(machine, trace)
+        assert checker.ok
+        assert result.retired_uops == clean.retired_uops == len(trace.uops)
+        assert machine.bank_predictor.flips > 0

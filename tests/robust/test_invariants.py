@@ -1,4 +1,10 @@
-"""The invariant oracle: clean runs pass, every saboteur is caught."""
+"""The invariant oracle: clean runs pass, every saboteur is caught.
+
+The saboteurs are deliberately broken engine components defined here,
+next to the tests that prove the oracle catches each one.  The engine
+kernel accepts exact types only, so these subclasses always run on the
+scalar loop, where their defects stay observable.
+"""
 
 import dataclasses
 
@@ -6,18 +12,89 @@ import pytest
 
 from repro.common.config import BASELINE_MACHINE
 from repro.engine.machine import Machine
-from repro.engine.ordering import make_scheme
+from repro.engine.mob import MemoryOrderBuffer
+from repro.engine.ordering import TraditionalOrdering, make_scheme
 from repro.experiments.harness import get_trace
 from repro.obs.events import EventBus, EventKind
-from repro.robust import (
-    InvariantChecker,
-    InvariantViolation,
-    LyingOrdering,
-    SabotagedMOB,
-    SkipSquashMachine,
-    checked_run,
-)
+from repro.robust import InvariantChecker, InvariantViolation, checked_run
 from tests.engine.helpers import MicroTrace
+
+class SabotagedMOB(MemoryOrderBuffer):
+    """A MOB with a seeded defect.
+
+    ``"forward-younger"`` lets :meth:`forwarding_store` serve a load
+    from a *younger* completed store (caught by ``forward-from-older``);
+    ``"leak"`` never drops retired records (caught by ``mob-bound``).
+    """
+
+    MODES = ("forward-younger", "leak")
+
+    def __init__(self, mode: str, obs=None) -> None:
+        if mode not in self.MODES:
+            raise ValueError(f"unknown sabotage mode {mode!r}; "
+                             f"choose from {self.MODES}")
+        super().__init__(obs=obs)
+        self.mode = mode
+
+    def forwarding_store(self, load_seq, mem, now):
+        record = super().forwarding_store(load_seq, mem, now)
+        if record is not None or self.mode != "forward-younger":
+            return record
+        for candidate in self._stores:
+            if (candidate.seq > load_seq and candidate.mem.overlaps(mem)
+                    and candidate.complete(now)):
+                return candidate
+        return None
+
+    def remove_retired(self, seq: int) -> None:
+        if self.mode == "leak":
+            return  # the bug: retired stores are never reclaimed
+        super().remove_retired(seq)
+
+
+class _NoCollideMOB:
+    """MOB view that hides every collision (SkipSquashMachine's lie)."""
+
+    def __init__(self, inner: MemoryOrderBuffer) -> None:
+        self._inner = inner
+
+    def colliding_store(self, load_seq, mem, now):
+        return None, None
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
+
+
+class SkipSquashMachine(Machine):
+    """Detects visible collisions (and emits the COLLISION event) but
+    skips the squash-and-redispatch recovery, letting the load complete
+    with stale data (caught by ``collision-squash``)."""
+
+    def _execute_load(self, iu, mob, violations, result, now):
+        uop = iu.uop
+        record, _ = mob.colliding_store(uop.seq, uop.mem, now)
+        if record is not None and record.address_known(now):
+            if self.obs is not None:
+                self.obs.emit(EventKind.COLLISION, now, uop.seq, uop.pc,
+                              store_seq=record.seq,
+                              store_pc=record.sta.uop.pc, visible=True)
+            super()._execute_load(iu, _NoCollideMOB(mob), violations,
+                                  result, now)
+            return
+        super()._execute_load(iu, mob, violations, result, now)
+
+
+class LyingOrdering(TraditionalOrdering):
+    """Advertises the Traditional guarantee (``never_violates``) while
+    dispatching loads past unknown STAs (caught by
+    ``scheme-violation``)."""
+
+    name = "lying-traditional"
+    never_violates = True
+
+    def may_dispatch(self, load, mob, now) -> bool:
+        return True
+
 
 SCHEMES = ("traditional", "opportunistic", "postponing", "inclusive",
            "exclusive", "perfect")

@@ -36,7 +36,7 @@ def window(outcome, n=MIN_TRACE_LEN, pc=0x40):
 def execute(engine, session, lanes, check=False):
     pcs, outcomes, distances = lanes
     return execute_step_arrays_ex(session, pcs, outcomes, distances,
-                                  "reference", 8, engine, check)
+                                  "reference", 8, engine, check)[:2]
 
 
 def shadow_execute(twin, lanes):

@@ -28,9 +28,9 @@ def _requests(n=32):
 
 def test_clean_kernel_passes_under_invariants():
     session = Session("s", spec_for("hmp.local", size=64, history=2))
-    results, via = execute_steps_ex(session, _requests(), "vectorized",
-                                    min_kernel_run=4, memo=HotTraceEngine(),
-                                    check=True)
+    results, via, _ = execute_steps_ex(
+        session, _requests(), "vectorized", min_kernel_run=4,
+        memo=HotTraceEngine(), check=True)
     assert via == VIA_KERNEL
     assert len(results) == 32
 

@@ -249,3 +249,49 @@ def test_stats_shape():
                                             "batches", "kernel_batches",
                                             "rejected"}
     run(main())
+
+
+def test_degrades_counted_from_one_eligibility_check_per_window(
+        monkeypatch):
+    """The executor asks ``supports_steps`` once per kernel-length
+    window and the shard counts the degrade from its answer: one per
+    scalar window of a predictor without a kernel, none for a short
+    window, and none for a window whose lanes overflow int64 (that
+    predictor has a kernel)."""
+    pytest.importorskip("numpy")
+    from repro.fastpath import batchapi
+
+    calls = []
+    real = batchapi.supports_steps
+
+    def counting(family, predictor):
+        calls.append(family)
+        return real(family, predictor)
+
+    monkeypatch.setattr(batchapi, "supports_steps", counting)
+
+    def replay(sid, seq, pcs):
+        return PredictRequest(sid, op="replay", seq=seq, pcs=tuple(pcs),
+                              outcomes=tuple(i % 2 for i in range(len(pcs))))
+
+    async def main():
+        config = ServeConfig(n_shards=1,
+                             policy=ExecutionPolicy(backend="vectorized"))
+        async with PredictionService(config) as service:
+            await service.open_session("slow", spec_for("cht.full"))
+            await service.open_session("fast", spec_for("hmp.local"))
+            for k in range(3):  # distinct windows: no hot-trace hits
+                response = await service.request(replay(
+                    "slow", k, [0x40 + 4 * (i + k) for i in range(16)]))
+                assert response.ok, response.error
+            assert calls == ["cht"] * 3
+            assert service.stats()["totals"]["degraded"] == 3
+
+            response = await service.request(replay("slow", 3, [0x40] * 4))
+            assert response.ok, response.error
+            response = await service.request(replay(
+                "fast", 0, [2 ** 64 + 0x40] * 16))
+            assert response.ok, response.error
+            assert calls == ["cht"] * 3 + ["hitmiss"]
+            assert service.stats()["totals"]["degraded"] == 3
+    run(main())
