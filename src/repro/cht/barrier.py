@@ -18,17 +18,19 @@ from repro.common import bits
 from repro.predictors.counters import CounterTable
 
 
-class StoreBarrierCache:
+class StoreBarrierCache(bits.FixedWidths):
     """PC-indexed saturating counters over store violation history."""
 
+    _WIDTHS = {"_index_bits": "n_entries"}
+
     def __init__(self, n_entries: int = 2048, counter_bits: int = 2) -> None:
-        bits.ilog2(n_entries)
         self.n_entries = n_entries
+        self._derive()
         self.counter_bits = counter_bits
         self._table = CounterTable(n_entries, counter_bits)
 
     def _index(self, pc: int) -> int:
-        return bits.pc_index(pc, self.n_entries)
+        return bits.pc_index(pc, self._index_bits)
 
     def is_barrier(self, store_pc: int) -> bool:
         """Queried at store fetch: should younger loads be fenced?"""

@@ -122,7 +122,7 @@ class AlwaysCollides(CollisionPredictor):
 V = TypeVar("V")
 
 
-class TaggedSetAssocTable(Generic[V]):
+class TaggedSetAssocTable(Generic[V], bits.FixedWidths):
     """An n-way set-associative, LRU-replaced table keyed by PC.
 
     The CHT "is organised as a cache" (section 2.1); this generic table
@@ -130,13 +130,15 @@ class TaggedSetAssocTable(Generic[V]):
     organisations.  Values are per-entry predictor state.
     """
 
+    _WIDTHS = {"_index_bits": "n_sets"}
+
     def __init__(self, n_entries: int, ways: int, tag_bits: int = 16) -> None:
         if n_entries % ways:
             raise ValueError("entries must divide evenly into ways")
         self.n_entries = n_entries
         self.ways = ways
         self.n_sets = n_entries // ways
-        bits.ilog2(self.n_sets)
+        self._derive()
         self.tag_bits = tag_bits
         # Each set: list of (tag, value), most recently used first.
         self._sets: List[List[Tuple[int, V]]] = [
@@ -144,7 +146,7 @@ class TaggedSetAssocTable(Generic[V]):
         ]
 
     def _locate(self, pc: int) -> Tuple[int, int]:
-        index = bits.pc_index(pc, self.n_sets)
+        index = bits.pc_index(pc, self._index_bits)
         tag = bits.fold(pc >> 2, self.tag_bits)
         return index, tag
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.common import bits
 
 
-class StoreSetPredictor:
+class StoreSetPredictor(bits.FixedWidths):
     """SSIT + LFST in their textbook form.
 
     The engine drives it through four events: ``on_load_rename`` /
@@ -38,20 +38,21 @@ class StoreSetPredictor:
     """
 
     INVALID = -1
+    _WIDTHS = {"_index_bits": "ssit_entries"}
 
     def __init__(self, ssit_entries: int = 4096,
                  lfst_entries: int = 1024) -> None:
-        bits.ilog2(ssit_entries)
         bits.ilog2(lfst_entries)
         self.ssit_entries = ssit_entries
         self.lfst_entries = lfst_entries
+        self._derive()
         self._ssit: List[int] = [self.INVALID] * ssit_entries
         #: set id -> seq of the last fetched, still-incomplete store.
         self._lfst: Dict[int, int] = {}
         self._next_set = 0
 
     def _index(self, pc: int) -> int:
-        return bits.pc_index(pc, self.ssit_entries)
+        return bits.pc_index(pc, self._index_bits)
 
     def set_of(self, pc: int) -> int:
         return self._ssit[self._index(pc)]

@@ -18,20 +18,22 @@ from repro.cht.base import (
 from repro.predictors.counters import CounterTable
 
 
-class TaglessCHT(CollisionPredictor):
+class TaglessCHT(CollisionPredictor, bits.FixedWidths):
     """Direct-mapped counter array with optional distance sidecar."""
+
+    _WIDTHS = {"_index_bits": "n_entries"}
 
     def __init__(self, n_entries: int = 4096, counter_bits: int = 1,
                  track_distance: bool = False) -> None:
-        bits.ilog2(n_entries)
         self.n_entries = n_entries
+        self._derive()
         self.counter_bits = counter_bits
         self.track_distance = track_distance
         self._counters = CounterTable(n_entries, counter_bits)
         self._distances: List[Optional[int]] = [None] * n_entries
 
     def _index(self, pc: int) -> int:
-        return bits.pc_index(pc, self.n_entries)
+        return bits.pc_index(pc, self._index_bits)
 
     def lookup(self, pc: int) -> CollisionPrediction:
         index = self._index(pc)

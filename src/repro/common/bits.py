@@ -3,9 +3,15 @@
 All predictor tables in the paper index with subsets of the linear
 instruction pointer, fold longer histories onto shorter indices, and use
 skewed hash functions (gskew).  These helpers centralise that arithmetic.
+
+A table's geometry is fixed when it is built, so the index functions
+take the index width in bits, never an entry count: each table derives
+its widths once (:class:`FixedWidths`) instead of on every lookup.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Tuple
 
 
 def mask(n_bits: int) -> int:
@@ -25,7 +31,7 @@ def fold(value: int, n_bits: int) -> int:
     if n_bits <= 0:
         raise ValueError("n_bits must be positive")
     folded = 0
-    m = mask(n_bits)
+    m = (1 << n_bits) - 1
     while value:
         folded ^= value & m
         value >>= n_bits
@@ -33,7 +39,10 @@ def fold(value: int, n_bits: int) -> int:
 
 
 def ilog2(value: int) -> int:
-    """Exact integer log2; raises if ``value`` is not a power of two."""
+    """Exact integer log2; raises if ``value`` is not a power of two.
+
+    Tables call it once, at construction, to fix the index width their
+    lookups then pass to the index functions below."""
     if value <= 0 or value & (value - 1):
         raise ValueError(f"{value} is not a positive power of two")
     return value.bit_length() - 1
@@ -43,8 +52,9 @@ def ilog2(value: int) -> int:
 _MIX = 2654435761
 
 
-def pc_index(pc: int, n_entries: int, shift: int = 2) -> int:
-    """Direct-mapped table index from an instruction pointer.
+def pc_index(pc: int, n_bits: int, shift: int = 2) -> int:
+    """Direct-mapped ``n_bits``-wide table index from an instruction
+    pointer (0 for a one-entry table, ``n_bits == 0``).
 
     The low ``shift`` bits are dropped (instruction alignment), then the
     pointer is mixed multiplicatively before folding onto the index
@@ -53,16 +63,21 @@ def pc_index(pc: int, n_entries: int, shift: int = 2) -> int:
     is laid out at regular strides; the multiplicative mix keeps the
     aliasing that remains capacity-shaped rather than layout-shaped.
     """
-    if n_entries <= 1:
+    if not n_bits:
         return 0
-    mixed = ((pc >> shift) * _MIX) & 0xFFFFFFFF
-    return fold(mixed >> 8, ilog2(n_entries))
+    value = (((pc >> shift) * _MIX) & 0xFFFFFFFF) >> 8
+    m = (1 << n_bits) - 1
+    folded = 0
+    while value:  # fold(), inlined: this runs on every table lookup
+        folded ^= value & m
+        value >>= n_bits
+    return folded
 
 
-def gshare_index(pc: int, history: int, n_entries: int, shift: int = 2) -> int:
-    """Classic gshare index: PC xor global history, folded to table width."""
-    n_bits = ilog2(n_entries)
-    return (fold(pc >> shift, n_bits) ^ fold(history, n_bits)) & mask(n_bits)
+def gshare_index(pc: int, history: int, n_bits: int, shift: int = 2) -> int:
+    """Classic gshare index: PC xor global history, each folded to
+    ``n_bits``."""
+    return fold(pc >> shift, n_bits) ^ fold(history, n_bits)
 
 
 # --- Skewing functions (gskew) --------------------------------------------
@@ -76,8 +91,7 @@ def _h(value: int, n_bits: int) -> int:
     """The Michaud/Seznec H function: one step of an LFSR-like mix."""
     msb = (value >> (n_bits - 1)) & 1
     second = (value >> (n_bits - 2)) & 1 if n_bits >= 2 else 0
-    new_msb = msb ^ second
-    return ((value << 1) & mask(n_bits)) | new_msb
+    return ((value << 1) & ((1 << n_bits) - 1)) | (msb ^ second)
 
 
 def _h_inv(value: int, n_bits: int) -> int:
@@ -87,26 +101,51 @@ def _h_inv(value: int, n_bits: int) -> int:
     return (value >> 1) | ((lsb ^ msb) << (n_bits - 1))
 
 
-def skew_index(pc: int, history: int, bank: int, n_entries: int,
-               shift: int = 2) -> int:
-    """Index for gskew bank ``bank`` (0, 1 or 2).
+def skew_indices(pc: int, history: int, n_bits: int,
+                 shift: int = 2) -> Tuple[int, int, int]:
+    """The ``n_bits``-wide indices of gskew banks 0, 1 and 2.
 
     Each bank mixes the same (pc, history) pair through a different
     composition of H and H^-1 so that two addresses aliasing in one bank
-    rarely alias in the others (the skewing property).
+    rarely alias in the others (the skewing property).  The folded pc
+    and history and the H(pc) ^ H^-1(history) term are shared by the
+    banks, so one call computes all three.
     """
-    n_bits = ilog2(n_entries)
     v1 = fold(pc >> shift, n_bits)
     v2 = fold(history, n_bits)
-    if bank == 0:
-        return _h(v1, n_bits) ^ _h_inv(v2, n_bits) ^ v2
-    if bank == 1:
-        return _h(v1, n_bits) ^ _h_inv(v2, n_bits) ^ v1
-    if bank == 2:
-        return _h(v2, n_bits) ^ _h_inv(v1, n_bits) ^ v2
-    raise ValueError("gskew has exactly three banks")
+    mixed = _h(v1, n_bits) ^ _h_inv(v2, n_bits)
+    return (mixed ^ v2, mixed ^ v1,
+            _h(v2, n_bits) ^ _h_inv(v1, n_bits) ^ v2)
+
+
+class FixedWidths:
+    """Mixin for a table that fixes its index widths at construction.
+
+    ``_WIDTHS`` maps each width attribute to the entry-count attribute
+    it is the exact log2 of; ``__init__`` calls ``_derive()`` once the
+    entry counts are set, which also rejects a count that is not a
+    power of two.  Widths stay out of the pickled state and
+    ``_derive()`` rebuilds them on unpickle, so the pickle holds the
+    table's parameters and contents and nothing else.
+    """
+
+    _WIDTHS: Dict[str, str] = {}
+
+    def _derive(self) -> None:
+        for width, entries in self._WIDTHS.items():
+            setattr(self, width, ilog2(getattr(self, entries)))
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for width in self._WIDTHS:
+            del state[width]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
 
 def shift_history(history: int, outcome: bool, length: int) -> int:
     """Shift a binary outcome into an ``length``-bit history register."""
-    return ((history << 1) | int(outcome)) & mask(length)
+    return ((history << 1) | int(outcome)) & ((1 << length) - 1)

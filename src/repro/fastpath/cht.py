@@ -70,7 +70,7 @@ def _tagless_replay_once(cht: TaglessCHT, pcs, collided,
     sidecar = cht._distances
     predicted = bytearray()
     read = predicted.append
-    for i, hit, distance in zip(pc_index_arr(pcs, cht.n_entries).tolist(),
+    for i, hit, distance in zip(pc_index_arr(pcs, cht._index_bits).tolist(),
                                 collided.tolist(), distances.tolist()):
         value = cells[i]
         read(value >= threshold)

@@ -1,7 +1,8 @@
 """Vectorized mirrors of :mod:`repro.common.bits`.
 
 Every function here computes, over whole event arrays at once, exactly
-what its scalar counterpart computes per call; the differential tests in
+what its scalar counterpart computes per call, with the same signature
+(index widths in bits); the differential tests in
 ``tests/fastpath/test_indices.py`` pin that equivalence element-wise.
 
 All internal arithmetic runs on ``uint64`` arrays: the widest scalar
@@ -17,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.common.bits import _MIX, ilog2
+from repro.common.bits import _MIX
 
 _U64 = np.uint64
 
@@ -47,22 +48,20 @@ def fold_arr(values: np.ndarray, n_bits: int) -> np.ndarray:
     return folded.astype(np.int64)
 
 
-def pc_index_arr(pcs: np.ndarray, n_entries: int, shift: int = 2) -> np.ndarray:
+def pc_index_arr(pcs: np.ndarray, n_bits: int, shift: int = 2) -> np.ndarray:
     """Per-element ``bits.pc_index``."""
     pcs = as_u64(pcs)
-    if n_entries <= 1:
+    if not n_bits:
         return np.zeros(len(pcs), dtype=np.int64)
     mixed = ((pcs >> _U64(shift)) * _U64(_MIX)) & _U64(0xFFFFFFFF)
-    return fold_arr(mixed >> _U64(8), ilog2(n_entries))
+    return fold_arr(mixed >> _U64(8), n_bits)
 
 
 def gshare_index_arr(pcs: np.ndarray, histories: np.ndarray,
-                     n_entries: int, shift: int = 2) -> np.ndarray:
+                     n_bits: int, shift: int = 2) -> np.ndarray:
     """Per-element ``bits.gshare_index`` (history may vary per event)."""
-    n_bits = ilog2(n_entries)
     folded_pc = fold_arr(as_u64(pcs) >> _U64(shift), n_bits)
-    folded_hist = fold_arr(histories, n_bits)
-    return (folded_pc ^ folded_hist) & ((1 << n_bits) - 1)
+    return folded_pc ^ fold_arr(histories, n_bits)
 
 
 def _h_arr(values: np.ndarray, n_bits: int) -> np.ndarray:
@@ -83,14 +82,9 @@ def _h_inv_arr(values: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def skew_indices_arr(pcs: np.ndarray, histories: np.ndarray,
-                     n_entries: int, shift: int = 2,
+                     n_bits: int, shift: int = 2,
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-element ``bits.skew_index`` for gskew banks 0, 1 and 2.
-
-    The folded pc and history are shared by the three skewing
-    functions, so they are folded once for all banks.
-    """
-    n_bits = ilog2(n_entries)
+    """Per-element ``bits.skew_indices``: gskew banks 0, 1 and 2."""
     v1 = as_u64(fold_arr(as_u64(pcs) >> _U64(shift), n_bits))
     v2 = as_u64(fold_arr(histories, n_bits))
     mixed = _h_arr(v1, n_bits) ^ _h_inv_arr(v2, n_bits)

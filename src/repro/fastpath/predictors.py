@@ -28,7 +28,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.common import bits
 from repro.fastpath.indices import (
     fold_arr,
     gshare_index_arr,
@@ -83,18 +82,18 @@ def _counter_replay(table, indices: np.ndarray, outcomes: np.ndarray,
 
 def _bimodal_replay(pred: BimodalPredictor, pcs: np.ndarray,
                     outcomes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    indices = pc_index_arr(pcs, pred.n_entries)
+    indices = pc_index_arr(pcs, pred._index_bits)
     return _counter_replay(pred._table, indices, outcomes)
 
 
 def _local_replay(pred: LocalPredictor, pcs: np.ndarray,
                   outcomes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    hist_idx = pc_index_arr(pcs, pred.n_entries)
+    hist_idx = pc_index_arr(pcs, pred._index_bits)
     hist_before = np.array(register_walk(pred._histories, hist_idx, outcomes,
                                          pred.history_bits), dtype=np.int64)
     # A history narrower than the pattern index folds to itself.
-    if pred.pattern_entries < 1 << pred.history_bits:
-        hist_before = fold_arr(hist_before, bits.ilog2(pred.pattern_entries))
+    if pred._pattern_fold:
+        hist_before = fold_arr(hist_before, pred._pattern_fold)
     return _counter_replay(pred._pattern, hist_before, outcomes)
 
 
@@ -103,7 +102,7 @@ def _gshare_replay(pred: GSharePredictor, pcs: np.ndarray,
     hist_before, hist_final = global_history_walk(
         outcomes, pred._history, pred.history_bits)
     pred._history = hist_final
-    indices = gshare_index_arr(pcs, hist_before, pred.n_entries)
+    indices = gshare_index_arr(pcs, hist_before, pred._index_bits)
     return _counter_replay(pred._table, indices, outcomes)
 
 
@@ -120,7 +119,7 @@ def _gskew_replay(pred: GSkewPredictor, pcs: np.ndarray,
         outcomes, pred._history, pred.history_bits)
     pred._history = hist_final
     c0, c1, c2 = (indices.tolist() for indices in
-                  skew_indices_arr(pcs, hist_before, pred.bank_entries))
+                  skew_indices_arr(pcs, hist_before, pred._index_bits))
     b0, b1, b2 = (bank.cells for bank in pred._banks)
     max_value = pred._banks[0].max
     threshold = pred._banks[0].threshold

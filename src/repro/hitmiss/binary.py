@@ -28,7 +28,7 @@ class BinaryHMP(HitMissPredictor):
 
     def predict_hit(self, pc: int, line: Optional[int] = None,
                     now: int = 0) -> bool:
-        return not self._miss_predictor.predict(pc).outcome
+        return not self._miss_predictor.predict_outcome(pc)
 
     def miss_confidence(self, pc: int) -> float:
         """Confidence of the underlying miss prediction (for choosers)."""

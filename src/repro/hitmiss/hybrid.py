@@ -47,7 +47,7 @@ class HybridHMP(HitMissPredictor):
 
     def predict_hit(self, pc: int, line: Optional[int] = None,
                     now: int = 0) -> bool:
-        return not self._chooser.predict(pc).outcome
+        return not self._chooser.predict_outcome(pc)
 
     def miss_confidence(self, pc: int) -> float:
         return self._chooser.predict(pc).confidence

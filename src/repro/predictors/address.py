@@ -29,7 +29,7 @@ class _AddressEntry:
         return self.last_address + self.stride
 
 
-class StrideAddressPredictor:
+class StrideAddressPredictor(bits.FixedWidths):
     """Tagged, direct-mapped stride predictor over load PCs.
 
     Not a :class:`BinaryPredictor` — it predicts full addresses.  The
@@ -37,17 +37,19 @@ class StrideAddressPredictor:
     its output into a bank prediction.
     """
 
+    _WIDTHS = {"_index_bits": "n_entries"}
+
     def __init__(self, n_entries: int = 1024, confidence_bits: int = 2,
                  predict_threshold: int = 2, tag_bits: int = 16) -> None:
-        bits.ilog2(n_entries)
         self.n_entries = n_entries
+        self._derive()
         self.predict_threshold = predict_threshold
         self.tag_bits = tag_bits
         self.confidence_bits = confidence_bits
         self._table: Dict[int, _AddressEntry] = {}
 
     def _index_tag(self, pc: int) -> tuple:
-        index = bits.pc_index(pc, self.n_entries)
+        index = bits.pc_index(pc, self._index_bits)
         tag = bits.fold(pc >> 2, self.tag_bits)
         return index, tag
 

@@ -10,12 +10,15 @@ is part of the protocol rather than an afterthought.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Outcome of a predictor query.
+
+    A named tuple, cheap enough to build on every lookup, whose truth
+    value is ``outcome`` rather than "non-empty":
+    ``if predictor.predict(pc):`` reads the vote.
 
     Attributes
     ----------
@@ -52,6 +55,11 @@ class BinaryPredictor(abc.ABC):
     @abc.abstractmethod
     def predict(self, pc: int) -> Prediction:
         """Predict the outcome for the instruction at ``pc``."""
+
+    def predict_outcome(self, pc: int) -> bool:
+        """``predict(pc).outcome``, for callers that need only the vote
+        (table predictors answer it without building a Prediction)."""
+        return self.predict(pc).outcome
 
     @abc.abstractmethod
     def update(self, pc: int, outcome: bool) -> None:

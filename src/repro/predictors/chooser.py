@@ -26,13 +26,17 @@ class MajorityChooser(BinaryPredictor):
             raise ValueError("majority vote needs an odd component count")
         self.components: List[BinaryPredictor] = list(components)
 
+    def _ayes(self, pc: int) -> int:
+        return sum([c.predict_outcome(pc) for c in self.components])
+
     def predict(self, pc: int) -> Prediction:
-        votes = [c.predict(pc) for c in self.components]
-        ayes = sum(1 for v in votes if v.outcome)
-        n = len(votes)
-        outcome = ayes * 2 > n
+        ayes = self._ayes(pc)
+        n = len(self.components)
         margin = abs(2 * ayes - n) / n  # 1.0 unanimous, ~0 split
-        return Prediction(outcome=outcome, confidence=margin)
+        return Prediction(ayes * 2 > n, margin)
+
+    def predict_outcome(self, pc: int) -> bool:
+        return self._ayes(pc) * 2 > len(self.components)
 
     def update(self, pc: int, outcome: bool) -> None:
         for c in self.components:

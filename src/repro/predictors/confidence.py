@@ -23,15 +23,17 @@ from repro.common import bits
 from repro.predictors.base import BinaryPredictor, Prediction
 
 
-class ConfidenceEstimator:
+class ConfidenceEstimator(bits.FixedWidths):
     """PC-indexed resetting counters over prediction correctness."""
+
+    _WIDTHS = {"_index_bits": "n_entries"}
 
     def __init__(self, n_entries: int = 1024, counter_bits: int = 4,
                  threshold: int = 8) -> None:
-        bits.ilog2(n_entries)
         if counter_bits < 1:
             raise ValueError("counter_bits must be positive")
         self.n_entries = n_entries
+        self._derive()
         self.counter_bits = counter_bits
         self._max = (1 << counter_bits) - 1
         if not 0 < threshold <= self._max:
@@ -40,7 +42,7 @@ class ConfidenceEstimator:
         self._table: List[int] = [0] * n_entries
 
     def _index(self, pc: int) -> int:
-        return bits.pc_index(pc, self.n_entries)
+        return bits.pc_index(pc, self._index_bits)
 
     def confidence(self, pc: int) -> float:
         """Measured confidence in [0, 1]: streak / counter maximum."""
@@ -87,9 +89,12 @@ class ConfidentPredictor(BinaryPredictor):
                           confidence=self.estimator.confidence(pc),
                           valid=p.valid)
 
+    def predict_outcome(self, pc: int) -> bool:
+        return self.inner.predict_outcome(pc)
+
     def update(self, pc: int, outcome: bool) -> None:
-        predicted = self.inner.predict(pc)
-        self.estimator.record(pc, bool(predicted.outcome) == outcome)
+        predicted = self.inner.predict_outcome(pc)
+        self.estimator.record(pc, bool(predicted) == outcome)
         self.inner.update(pc, outcome)
 
     def reset(self) -> None:

@@ -44,18 +44,19 @@ class _PatternEntry:
         default_factory=lambda: SaturatingCounter(2))
 
 
-class CorrelatedAddressPredictor:
+class CorrelatedAddressPredictor(bits.FixedWidths):
     """Two-level delta-correlated address prediction."""
+
+    _WIDTHS = {"_l1_bits": "l1_entries", "_pattern_bits": "pattern_entries"}
 
     def __init__(self, l1_entries: int = 1024, pattern_entries: int = 4096,
                  history_length: int = 2, predict_threshold: int = 2,
                  tag_bits: int = 16) -> None:
-        bits.ilog2(l1_entries)
-        bits.ilog2(pattern_entries)
         if history_length < 1:
             raise ValueError("history_length must be positive")
         self.l1_entries = l1_entries
         self.pattern_entries = pattern_entries
+        self._derive()
         self.history_length = history_length
         self.predict_threshold = predict_threshold
         self.tag_bits = tag_bits
@@ -65,14 +66,14 @@ class CorrelatedAddressPredictor:
     # -- indexing ---------------------------------------------------------
 
     def _l1_slot(self, pc: int) -> Tuple[int, int]:
-        return (bits.pc_index(pc, self.l1_entries),
+        return (bits.pc_index(pc, self._l1_bits),
                 bits.fold(pc >> 2, self.tag_bits))
 
     def _pattern_index(self, pc: int, deltas: Tuple[int, ...]) -> int:
         mixed = bits.fold(pc >> 2, 20)
         for d in deltas:
             mixed = (mixed * 31 + (d & 0xFFFFF)) & 0xFFFFFFFF
-        return bits.fold(mixed, bits.ilog2(self.pattern_entries))
+        return bits.fold(mixed, self._pattern_bits)
 
     def _entry(self, pc: int) -> Optional[_L1Entry]:
         index, tag = self._l1_slot(pc)

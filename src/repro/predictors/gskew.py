@@ -19,16 +19,17 @@ from repro.predictors.base import BinaryPredictor, Prediction
 from repro.predictors.counters import CounterTable
 
 
-class GSkewPredictor(BinaryPredictor):
+class GSkewPredictor(BinaryPredictor, bits.FixedWidths):
     """Three skewed counter banks with majority vote and partial update."""
 
     N_BANKS = 3
+    _WIDTHS = {"_index_bits": "bank_entries"}
 
     def __init__(self, history_bits: int = 20, bank_entries: int = 1024,
                  counter_bits: int = 2) -> None:
         self.history_bits = history_bits
         self.bank_entries = bank_entries
-        bits.ilog2(bank_entries)
+        self._derive()
         self.counter_bits = counter_bits
         self._history = 0
         self._banks: List[CounterTable] = [
@@ -36,23 +37,26 @@ class GSkewPredictor(BinaryPredictor):
             for _ in range(self.N_BANKS)
         ]
 
-    def _indices(self, pc: int) -> List[int]:
-        return [bits.skew_index(pc, self._history, b, self.bank_entries)
-                for b in range(self.N_BANKS)]
+    def _ayes(self, pc: int) -> int:
+        """How many banks vote true for ``pc``."""
+        return sum(map(CounterTable.prediction, self._banks,
+                       bits.skew_indices(pc, self._history,
+                                         self._index_bits)))
 
     def predict(self, pc: int) -> Prediction:
-        ayes = sum(map(CounterTable.prediction, self._banks,
-                       self._indices(pc)))
-        outcome = ayes >= 2
+        ayes = self._ayes(pc)
         # Confidence rises with agreement: unanimous = 1.0, 2-1 split = 0.5.
-        confidence = 1.0 if ayes in (0, self.N_BANKS) else 0.5
-        return Prediction(outcome=outcome, confidence=confidence)
+        return Prediction(ayes >= 2, 1.0 if ayes in (0, self.N_BANKS)
+                          else 0.5)
+
+    def predict_outcome(self, pc: int) -> bool:
+        return self._ayes(pc) >= 2
 
     def update(self, pc: int, outcome: bool) -> None:
         # Partial update (the e-gskew policy): on a correct prediction only
         # the agreeing banks are reinforced; on a misprediction all banks
         # are retrained toward the actual outcome.
-        indices = self._indices(pc)
+        indices = bits.skew_indices(pc, self._history, self._index_bits)
         votes = list(map(CounterTable.prediction, self._banks, indices))
         predicted = sum(votes) >= 2
         for bank, i, vote in zip(self._banks, indices, votes):

@@ -16,36 +16,49 @@ from repro.predictors.base import BinaryPredictor, Prediction
 from repro.predictors.counters import CounterTable
 
 
-class LocalPredictor(BinaryPredictor):
-    """Per-PC history registers feeding a shared pattern table."""
+class LocalPredictor(BinaryPredictor, bits.FixedWidths):
+    """Per-PC history registers feeding a shared pattern table.
+
+    A history register narrower than the pattern index is its own
+    pattern index; a wider one (``pattern_entries`` below
+    ``2 ** history_bits``) is XOR-folded onto it.
+    """
+
+    _WIDTHS = {"_index_bits": "n_entries", "_pattern_fold": "pattern_entries"}
 
     def __init__(self, n_entries: int = 2048, history_bits: int = 8,
                  counter_bits: int = 2,
                  pattern_entries: int | None = None) -> None:
-        bits.ilog2(n_entries)
         self.n_entries = n_entries
         self.history_bits = history_bits
         self.counter_bits = counter_bits
         self.pattern_entries = (pattern_entries if pattern_entries is not None
                                 else 1 << history_bits)
-        bits.ilog2(self.pattern_entries)
+        self._derive()
         self._histories: List[int] = [0] * n_entries
         self._pattern = CounterTable(self.pattern_entries, counter_bits)
 
-    def _hist_index(self, pc: int) -> int:
-        return bits.pc_index(pc, self.n_entries)
+    def _derive(self) -> None:
+        super()._derive()
+        if self._pattern_fold >= self.history_bits:
+            self._pattern_fold = 0  # the history is its own pattern index
 
     def _pattern_index(self, history: int) -> int:
-        return bits.fold(history, bits.ilog2(self.pattern_entries))
+        if self._pattern_fold:
+            return bits.fold(history, self._pattern_fold)
+        return history
 
     def predict(self, pc: int) -> Prediction:
-        history = self._histories[self._hist_index(pc)]
+        history = self._histories[bits.pc_index(pc, self._index_bits)]
         table, i = self._pattern, self._pattern_index(history)
-        return Prediction(outcome=table.prediction(i),
-                          confidence=table.confidence(i))
+        return Prediction(table.prediction(i), table.confidence(i))
+
+    def predict_outcome(self, pc: int) -> bool:
+        history = self._histories[bits.pc_index(pc, self._index_bits)]
+        return self._pattern.prediction(self._pattern_index(history))
 
     def update(self, pc: int, outcome: bool) -> None:
-        idx = self._hist_index(pc)
+        idx = bits.pc_index(pc, self._index_bits)
         history = self._histories[idx]
         self._pattern.train(self._pattern_index(history), outcome)
         self._histories[idx] = bits.shift_history(history, outcome,

@@ -209,7 +209,7 @@ def test_covering_window_reaches_every_cell():
     # Guards the premise of the mixed-session plan above: the 16-entry
     # bimodal, local-history and CHT tables are all indexed this way.
     pcs, _ = _covering_steps(random.Random(0), WINDOW)
-    assert {bits.pc_index(pc, 16) for pc in pcs} == set(range(16))
+    assert {bits.pc_index(pc, 4) for pc in pcs} == set(range(16))
 
 
 class _Recording(bytearray):
@@ -240,15 +240,17 @@ def test_kernels_touch_only_indexed_cells(kind):
         tables = predictor._banks
         expected = [set() for _ in tables]
         for pc, outcome in zip(pcs, outcomes):
-            for b, cells in enumerate(expected):
-                cells.add(bits.skew_index(pc, twin._history, b,
-                                          twin.bank_entries))
+            indices = bits.skew_indices(pc, twin._history,
+                                        bits.ilog2(twin.bank_entries))
+            for cells, index in zip(expected, indices):
+                cells.add(index)
             twin.update(pc, bool(outcome))
         twin_tables = twin._banks
     else:
         tables = [predictor._counters if kind == "cht.tagless"
                   else predictor._table]
-        expected = [{bits.pc_index(pc, len(tables[0])) for pc in pcs}]
+        n_bits = bits.ilog2(len(tables[0]))
+        expected = [{bits.pc_index(pc, n_bits) for pc in pcs}]
         scalar_steps(spec.family, twin, pcs, outcomes)
         twin_tables = [twin._counters if kind == "cht.tagless"
                        else twin._table]

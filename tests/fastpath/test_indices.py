@@ -1,9 +1,15 @@
-"""Element-wise equivalence of the vectorized bits.* mirrors."""
+"""Element-wise equivalence of the vectorized bits.* mirrors.
+
+The parametrized cases name table sizes in entries; both sides take
+the index width, ``bits.ilog2(n_entries)``.
+"""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import bits
 from repro.fastpath.indices import (
@@ -52,14 +58,19 @@ class TestPcIndex:
     @pytest.mark.parametrize("n_entries", [1, 2, 128, 2048, 4096, 32768])
     def test_matches_scalar(self, seed, n_entries):
         pcs = _values(seed, width=32)
-        expected = [bits.pc_index(pc, n_entries) for pc in pcs]
-        got = pc_index_arr(np.array(pcs, dtype=np.int64), n_entries)
+        n_bits = bits.ilog2(n_entries)
+        expected = [bits.pc_index(pc, n_bits) for pc in pcs]
+        got = pc_index_arr(np.array(pcs, dtype=np.int64), n_bits)
         assert got.tolist() == expected
 
     def test_indices_in_range(self):
         pcs = np.array(_values(7, width=32), dtype=np.int64)
-        got = pc_index_arr(pcs, 1024)
+        got = pc_index_arr(pcs, 10)
         assert got.min() >= 0 and got.max() < 1024
+
+    def test_zero_bits_is_index_zero(self):
+        pcs = np.array(_values(8, width=32), dtype=np.int64)
+        assert pc_index_arr(pcs, 0).tolist() == [0] * len(pcs)
 
 
 class TestGShareIndex:
@@ -69,10 +80,11 @@ class TestGShareIndex:
         rng = random.Random(seed + 100)
         pcs = _values(seed, width=32)
         hists = [rng.randrange(1 << 20) for _ in pcs]
-        expected = [bits.gshare_index(pc, h, n_entries)
+        n_bits = bits.ilog2(n_entries)
+        expected = [bits.gshare_index(pc, h, n_bits)
                     for pc, h in zip(pcs, hists)]
         got = gshare_index_arr(np.array(pcs, dtype=np.int64),
-                               np.array(hists, dtype=np.int64), n_entries)
+                               np.array(hists, dtype=np.int64), n_bits)
         assert got.tolist() == expected
 
 
@@ -84,12 +96,25 @@ class TestSkewIndex:
         rng = random.Random(seed + 200)
         pcs = _values(seed, width=32)
         hists = [rng.randrange(1 << 20) for _ in pcs]
-        expected = [bits.skew_index(pc, h, bank, n_entries)
+        n_bits = bits.ilog2(n_entries)
+        expected = [bits.skew_indices(pc, h, n_bits)[bank]
                     for pc, h in zip(pcs, hists)]
         got = skew_indices_arr(np.array(pcs, dtype=np.int64),
                                np.array(hists, dtype=np.int64),
-                               n_entries)[bank]
+                               n_bits)[bank]
         assert got.tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_bits=st.integers(1, 16),
+           pairs=st.lists(st.tuples(st.integers(0, (1 << 32) - 1),
+                                    st.integers(0, (1 << 20) - 1)),
+                          min_size=1, max_size=40))
+    def test_every_width_matches_scalar(self, n_bits, pairs):
+        pcs = np.array([pc for pc, _ in pairs], dtype=np.int64)
+        hists = np.array([h for _, h in pairs], dtype=np.int64)
+        banks = skew_indices_arr(pcs, hists, n_bits)
+        got = list(zip(*(bank.tolist() for bank in banks)))
+        assert got == [bits.skew_indices(pc, h, n_bits) for pc, h in pairs]
 
 
 class TestMixers:

@@ -5,8 +5,11 @@ against each, plus per-predictor tests for their distinguishing
 behaviours (history capture, aliasing, skewing).
 """
 
+import pickle
+
 import pytest
 
+from repro.common import bits
 from repro.predictors.base import AlwaysPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
@@ -59,6 +62,29 @@ class TestCommonProtocol:
             p.update(0x400 + 4 * i, i % 2 == 0)
 
 
+    def test_predict_outcome_is_the_prediction_outcome(self, factory):
+        p = factory()
+        for i in range(400):
+            pc = 0x40100 + 4 * (i % 23)
+            assert p.predict_outcome(pc) == p.predict(pc).outcome
+            p.update(pc, (i * 7) % 5 < 2)
+
+    def test_pickle_holds_no_derived_width(self, factory):
+        p = factory()
+        for i in range(50):
+            p.update(0x40100 + 4 * (i % 7), i % 3 == 0)
+        blob = pickle.dumps(p)
+        assert b"_index_bits" not in blob
+        copy = pickle.loads(blob)
+        assert copy._index_bits == p._index_bits
+        for i in range(50):
+            pc = 0x40100 + 4 * (i % 7)
+            assert copy.predict(pc) == p.predict(pc)
+            copy.update(pc, i % 2 == 0)
+            p.update(pc, i % 2 == 0)
+        assert pickle.dumps(copy) == pickle.dumps(p)
+
+
 class TestBimodal:
     def test_entries_independent(self):
         p = BimodalPredictor(n_entries=1024)
@@ -108,6 +134,15 @@ class TestLocal:
                     correct += 1
                 p.update(pc, outcome)
         assert correct >= 18
+
+    def test_pattern_index_folds_only_a_wider_history(self):
+        narrow = LocalPredictor(n_entries=16, history_bits=8,
+                                pattern_entries=16)
+        wide = LocalPredictor(n_entries=16, history_bits=8,
+                              pattern_entries=1024)
+        for history in range(256):
+            assert narrow._pattern_index(history) == bits.fold(history, 4)
+            assert wide._pattern_index(history) == history
 
     def test_storage_accounts_history_and_pattern(self):
         p = LocalPredictor(n_entries=128, history_bits=8, counter_bits=2)
