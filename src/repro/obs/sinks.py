@@ -25,15 +25,22 @@ from repro.obs.events import Event, EventKind
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
-    """The current git commit hash, or ``None`` outside a checkout."""
+    """The current git commit hash, ``<sha>-dirty`` when the working
+    tree differs from it (uncommitted code is not its parent), or
+    ``None`` outside a checkout."""
     try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=cwd,
-                              capture_output=True, text=True, timeout=10)
+        head, status = (subprocess.run(["git", *args], cwd=cwd,
+                                       capture_output=True, text=True,
+                                       timeout=10)
+                        for args in (("rev-parse", "HEAD"),
+                                     ("status", "--porcelain")))
     except (OSError, subprocess.SubprocessError):
         return None
-    if proc.returncode != 0:
+    sha = head.stdout.strip() if head.returncode == 0 else ""
+    if not sha:
         return None
-    return proc.stdout.strip() or None
+    dirty = status.returncode != 0 or status.stdout.strip()
+    return sha + "-dirty" if dirty else sha
 
 
 class MemorySink:

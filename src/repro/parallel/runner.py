@@ -296,9 +296,9 @@ def _run_pooled(jobs: Sequence[SimJob], settings, plan: ExecutionPlan,
     in_flight: Dict[Future, int] = {}
 
     def submit(index: int) -> None:
-        attempts[index] += 1
-        payload = (index, jobs[index], settings, attempts[index])
+        payload = (index, jobs[index], settings, attempts[index] + 1)
         in_flight[executor.submit(run_job_payload, payload)] = index
+        attempts[index] += 1
 
     def settle(index: int, payload: Dict[str, object]) -> None:
         job = jobs[index]
@@ -323,11 +323,14 @@ def _run_pooled(jobs: Sequence[SimJob], settings, plan: ExecutionPlan,
         in_flight.clear()
         _shutdown(executor, kill=True)
 
+    to_submit: Sequence[int] = range(len(jobs))  # for the current pool
     try:
-        for index in range(len(jobs)):
-            submit(index)
         while unfinished:
             try:
+                # A pool that dies mid-hand-out raises here, too.
+                for index in to_submit:
+                    submit(index)
+                to_submit = ()
                 done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
                 for future in done:
                     index = in_flight.pop(future)
@@ -350,8 +353,7 @@ def _run_pooled(jobs: Sequence[SimJob], settings, plan: ExecutionPlan,
                 if unfinished:
                     executor = _make_executor(
                         min(n_workers, len(unfinished)), plan)
-                    for index in sorted(unfinished):
-                        submit(index)
+                    to_submit = sorted(unfinished)
     except (JobFailure, KeyboardInterrupt):
         # Abort the rest of the grid: terminate workers (no orphans),
         # drop queued jobs, then re-raise with the original context.

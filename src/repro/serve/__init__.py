@@ -8,10 +8,10 @@ under load, and session state snapshots/restores through the
 :mod:`repro.parallel.cache` envelope machinery.
 
 Past one process, :class:`ServeFleet` consistent-hashes sessions onto
-N worker subprocesses (each a full ``PredictionService``) behind a
-router with a write-ahead log: worker death recovers by snapshot +
-WAL replay, and ``resize`` migrates only the sessions whose ring owner
-changes.  :class:`JsonlHandle` is the pipelined TCP client for a
+N worker subprocesses (each executing the router's frames in place on
+one shard) behind a router with a write-ahead log: worker death
+recovers by snapshot + WAL replay, and ``resize`` migrates only the
+sessions whose ring owner changes.  :class:`JsonlHandle` is the pipelined TCP client for a
 ``python -m repro.serve serve`` endpoint.
 
 Entry points::

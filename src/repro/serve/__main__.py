@@ -31,13 +31,17 @@ from repro.serve.service import PredictionService
 
 def _add_config_flags(parser: "argparse.ArgumentParser") -> None:
     parser.add_argument("--shards", type=int, default=4,
-                        help="number of single-writer worker shards")
+                        help="single-writer shards "
+                             "(unused when --workers > 1)")
     parser.add_argument("--max-batch", type=int, default=256,
-                        help="micro-batch flush size")
+                        help="micro-batch flush size "
+                             "(unused when --workers > 1)")
     parser.add_argument("--max-delay-us", type=int, default=500,
-                        help="micro-batch flush deadline (µs)")
+                        help="micro-batch flush deadline in µs "
+                             "(unused when --workers > 1)")
     parser.add_argument("--queue-depth", type=int, default=8192,
-                        help="bounded per-shard queue depth")
+                        help="per-shard queue bound "
+                             "(unused when --workers > 1)")
 
 
 async def _run_serve(args: "argparse.Namespace") -> int:
@@ -106,7 +110,8 @@ def main(argv=None) -> int:
     serve_p.add_argument("--no-telemetry", action="store_true",
                         help="disable per-request span tracing")
     serve_p.add_argument("--trace-sample-shift", type=int, default=6,
-                        help="trace 1 request in 2**N (0 = all)")
+                        help="trace 1 request in 2**N (0 = all; "
+                             "unused when --workers > 1)")
     serve_p.add_argument("--metrics-dir", default=None,
                         help="export metrics.jsonl + metrics.prom here")
     serve_p.add_argument("--metrics-interval-ms", type=int, default=500,

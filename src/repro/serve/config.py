@@ -11,6 +11,11 @@ from repro.api.policy import ExecutionPolicy
 class ServeConfig:
     """Sharding, batching and backpressure parameters.
 
+    A fleet worker executes each router frame in place on one shard, so
+    of this config only ``policy``, ``min_kernel_run`` and (for router
+    rejections) ``retry_after_us`` apply to a ``ServeFleet``; the other
+    fields govern the in-process ``PredictionService`` only.
+
     Attributes
     ----------
     n_shards:

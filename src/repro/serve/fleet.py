@@ -2,14 +2,18 @@
 
 :class:`ServeFleet` scales the single-process
 :class:`~repro.serve.service.PredictionService` past one interpreter
-by running N copies of it in worker subprocesses
-(:mod:`repro.serve.worker`) and routing sessions onto them with a
-consistent-hash :class:`~repro.serve.ring.HashRing`.  The router keeps
-the whole external contract of the single service — ``submit`` /
-``request`` / ``open_session`` / ``close_session`` / ``stats`` /
-``metrics_snapshot`` and the async context manager — so the JSONL
-transports (:mod:`repro.serve.net`), the tests and the declared
-benchmark (``benchmarks/e2e``) all run unchanged against either.
+by running N worker subprocesses (:mod:`repro.serve.worker`) and
+routing sessions onto them with a consistent-hash
+:class:`~repro.serve.ring.HashRing`.  The router coalesces each event
+loop turn's admissions to a worker into one frame; the worker executes
+that frame in place on one :class:`~repro.serve.shard.Shard`, the
+same execution core as the single service, with no second queue.  The
+router keeps the whole external contract of the single service —
+``submit`` / ``request`` / ``open_session`` / ``close_session`` /
+``stats`` / ``metrics_snapshot`` and the async context manager — so
+the JSONL transports (:mod:`repro.serve.net`), the tests and the
+declared benchmark (``benchmarks/e2e``) all run unchanged against
+either.
 
 Durability: the write-ahead rule
 --------------------------------
@@ -35,7 +39,7 @@ The WAL is *bounded* by snapshotting, not by discarding: when a log
 passes ``wal_limit`` records the router takes a snapshot at a barrier
 mark, persists it (:mod:`repro.serve.snapshot` envelopes) and
 truncates the log to the mark.  Snapshot state is per-session blobs
-the worker's shards encoded at the barrier; the router persists,
+the worker's shard encoded at the barrier; the router persists,
 moves and restores them by session id without ever decoding one.
 
 Rebalance / elastic resize
@@ -63,7 +67,6 @@ import subprocess
 import sys
 import tempfile
 from collections import deque
-from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import asyncio
@@ -189,8 +192,8 @@ class ServeFleet:
         self.outstanding_limit = outstanding_limit
         self.fault_plan = fault_plan
         self.hello_timeout_s = hello_timeout_s
-        #: Duck-typing peer of PredictionService.tracer (the router
-        #: does not mint spans; workers trace their own service).
+        #: Duck-typing peer of PredictionService.tracer: neither the
+        #: router nor its workers mint spans.
         self.tracer = None
         self.ring = HashRing()
         self.workers: Dict[str, _Worker] = {}
@@ -287,13 +290,6 @@ class ServeFleet:
 
     # -- spawn / handshake --------------------------------------------------
 
-    def _worker_config(self) -> ServeConfig:
-        # Workers must never reject an accepted request (admission
-        # control lives in the router), so each shard queue is at
-        # least the router's per-worker outstanding cap deep.
-        depth = max(self.config.queue_depth, self.outstanding_limit)
-        return replace(self.config, queue_depth=depth)
-
     def _spawn_env(self) -> Dict[str, str]:
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -353,8 +349,7 @@ class ServeFleet:
         # served count while replaying the very WAL suffix its
         # predecessor's death created — a crash loop, never a recovery.
         plan = self.fault_plan if worker.deaths == 0 else None
-        worker.write_frame(("config", self._worker_config(),
-                            plan, worker.index))
+        worker.write_frame(("config", self.config, plan, worker.index))
         worker.reader_task = asyncio.ensure_future(
             self._reader_loop(worker))
 
@@ -606,8 +601,7 @@ class ServeFleet:
         items = list(sessions.items())
         total = 0
         for i in range(0, len(items), self.RESTORE_CHUNK):
-            chunk = {"schema": SNAPSHOT_SCHEMA,
-                     "sessions": dict(items[i:i + self.RESTORE_CHUNK])}
+            chunk = dict(items[i:i + self.RESTORE_CHUNK])
             total += await self._transient_control(worker,
                                                    ("restore", chunk))
         return total
@@ -927,10 +921,10 @@ class ServeFleet:
     # -- observability ------------------------------------------------------
 
     async def poll_stats(self) -> None:
-        """Refresh each live worker's service totals over the link.
+        """Refresh each live worker's shard counters over the link.
 
         Worker-side counters (hot-trace hit/abort, backend degrades,
-        batch histograms) otherwise only reach the router in the
+        batches) otherwise only reach the router in the
         ``bye`` frame at drain; call this (the declared benchmark
         does) so :meth:`stats` reflects a *running* fleet."""
         for worker in list(self.workers.values()):
@@ -975,7 +969,7 @@ class ServeFleet:
             "replay_drops": sum(w.replay_drops
                                 for w in self.workers.values()),
         }
-        # Worker-service counters (freshest of live poll vs bye frame):
+        # Worker shard counters (freshest of live poll vs bye frame):
         # degrade and hot-trace totals.
         from repro.serve.service import aggregate_hottrace
         reports = [w.final_stats or w.live_stats
@@ -988,9 +982,7 @@ class ServeFleet:
                     "n_workers": len(self.workers),
                     "wal_limit": self.wal_limit,
                     "outstanding_limit": self.outstanding_limit,
-                    "serve": {"n_shards": self.config.n_shards,
-                              "max_batch": self.config.max_batch,
-                              "backend":
+                    "serve": {"backend":
                                   self.config.policy.resolved_backend(),
                               "policy": self.config.policy.to_json_dict()},
                 },

@@ -16,6 +16,10 @@ Admission happens on the *caller's* side (:meth:`Shard.try_submit`):
 a full queue returns a ``retry-after`` rejection instead of blocking,
 which is the whole backpressure story — nothing in the service ever
 buffers unboundedly.
+
+:meth:`Shard.execute_now` and :meth:`Shard.control_now` run step 3 on
+a batch or control that is already formed (a fleet worker's router
+frame) in place, with no task and no queue.
 """
 
 from __future__ import annotations
@@ -64,6 +68,22 @@ class _Item:
         self.request = request
         self.future = future
         self.span = span
+
+
+class _Answer:
+    """Response sink of one :meth:`Shard.execute_now` request: the two
+    future methods the core calls, with no event loop behind them."""
+
+    __slots__ = ("result",)
+
+    def __init__(self) -> None:
+        self.result: Optional[PredictResponse] = None
+
+    def set_result(self, result: PredictResponse) -> None:
+        self.result = result
+
+    def done(self) -> bool:
+        return self.result is not None
 
 
 class _Control:
@@ -163,6 +183,45 @@ class Shard:
         await self.queue.put(_Control(op, payload, future))
         return await future
 
+    # -- synchronous entry points (no task, no queue) -----------------------
+
+    def execute_now(self, requests: List[PredictRequest]
+                    ) -> List[PredictResponse]:
+        """Execute ``requests`` as one batch, in order, on the calling
+        thread; returns their responses in the same order."""
+        items = [_Item(request, _Answer()) for request in requests]
+        self._execute(items)
+        return [item.future.result for item in items]
+
+    def control_now(self, op: str, payload: object = None) -> object:
+        """Run one barrier op in place; returns its result or raises."""
+        if op == "open":
+            session_id, spec = payload
+            existing = self.sessions.get(session_id)
+            if existing is not None and existing.spec != spec:
+                raise ValueError(
+                    f"session {session_id!r} already open with a "
+                    f"different spec ({existing.spec.kind})")
+            if existing is None:
+                self.sessions[session_id] = Session(session_id, spec)
+            return None
+        if op == "close":
+            session = self.sessions.pop(payload, None)
+            return session.served if session is not None else None
+        if op == "snapshot":
+            # Encoded here, at the barrier, exactly once: the blob is
+            # this instant's state, shares nothing with the live
+            # predictor, and travels opaque until a restore.
+            return {session_id: pickle.dumps(session.state_dict(),
+                                             protocol=pickle.HIGHEST_PROTOCOL)
+                    for session_id, session in self.sessions.items()}
+        if op == "restore":
+            for session_id, blob in payload.items():
+                self.sessions[session_id] = Session.from_state_dict(
+                    session_id, pickle.loads(blob))
+            return None
+        raise ValueError(f"unknown control op {op!r}")
+
     # -- the single-writer loop ---------------------------------------------
 
     async def _run(self) -> None:
@@ -222,11 +281,10 @@ class Shard:
         for entry in pending:
             if isinstance(entry, _Item):
                 if not entry.future.done():
-                    entry.future.set_result(PredictResponse(
+                    self._reply(entry, PredictResponse(
                         session_id=entry.request.session_id,
                         seq=entry.request.seq, ok=False,
                         error=f"{ERR_INTERNAL}: shard cancelled"))
-                self._finish_span(entry)
             elif not entry.future.done():
                 entry.future.cancel()
 
@@ -261,7 +319,7 @@ class Shard:
         if self.obs is not None:
             self.obs.emit(EventKind.SERVE_FLUSH, _now_us(),
                           shard=self.index, batch=len(batch),
-                          depth=self.queue.qsize(),
+                          depth=self.queue.qsize() if self.queue else 0,
                           vectorized=used_kernel)
         return draining
 
@@ -283,10 +341,9 @@ class Shard:
             session = self.sessions.get(session_id)
             if session is None:
                 for item in group:
-                    item.future.set_result(PredictResponse(
+                    self._reply(item, PredictResponse(
                         session_id=session_id, seq=item.request.seq,
                         ok=False, error=ERR_UNKNOWN_SESSION))
-                    self._finish_span(item)
                 continue
             used_kernel |= self._execute_session(session, group, backend,
                                                  check)
@@ -353,19 +410,20 @@ class Shard:
                 detail += f" (caused by {type(cause).__name__}: {cause})"
             for item in group:
                 if not item.future.done():
-                    item.future.set_result(PredictResponse(
+                    self._reply(item, PredictResponse(
                         session_id=session.session_id,
                         seq=item.request.seq, ok=False,
                         error=f"{ERR_INTERNAL}: {detail}"))
-                self._finish_span(item)
         return used_kernel
 
-    def _finish_span(self, item: _Item) -> None:
-        """Close a traced request's timeline (idempotent)."""
-        if item.span is not None and not item.span.done:
-            item.span.mark("reply")
+    def _reply(self, item: _Item, response: PredictResponse) -> None:
+        """Answer one request and close its traced timeline."""
+        item.future.set_result(response)
+        span = item.span
+        if span is not None and not span.done:
+            span.mark("reply")
             if self.tracer is not None:
-                self.tracer.finish(item.span)
+                self.tracer.finish(span)
 
     def _flush_run(self, session: Session, run: List[_Item],
                    backend: str, check: bool) -> bool:
@@ -388,9 +446,8 @@ class Shard:
         self.served += len(run)
         sid = session.session_id
         for item, result in zip(run, results):
-            item.future.set_result(PredictResponse(
+            self._reply(item, PredictResponse(
                 session_id=sid, seq=item.request.seq, result=result))
-            self._finish_span(item)
         return used_kernel
 
     def _apply_single(self, session: Session, item: _Item) -> None:
@@ -402,11 +459,10 @@ class Shard:
                 session.family, session.predictor, request.pc)
         elif request.op == "update":
             if request.outcome is None:
-                item.future.set_result(PredictResponse(
+                self._reply(item, PredictResponse(
                     session_id=session.session_id, seq=request.seq,
                     ok=False,
                     error=f"{ERR_BAD_REQUEST}: update requires outcome"))
-                self._finish_span(item)
                 return
             apply_update(session.family, session.predictor, request.pc,
                          int(request.outcome), distance=request.distance,
@@ -416,18 +472,16 @@ class Shard:
             HotTraceEngine.note_mutation(session)
             result = None
         else:  # pragma: no cover - op validation happens at decode
-            item.future.set_result(PredictResponse(
+            self._reply(item, PredictResponse(
                 session_id=session.session_id, seq=request.seq, ok=False,
                 error=f"{ERR_BAD_REQUEST}: unexpected op {request.op!r}"))
-            self._finish_span(item)
             return
         if item.span is not None:
             item.span.mark("predict")
         session.served += 1
         self.served += 1
-        item.future.set_result(PredictResponse(
+        self._reply(item, PredictResponse(
             session_id=session.session_id, seq=request.seq, result=result))
-        self._finish_span(item)
 
     def _apply_replay(self, session: Session, item: _Item,
                       backend: str, check: bool) -> bool:
@@ -448,47 +502,17 @@ class Shard:
                            else "predict")
         session.served += n_steps
         self.served += n_steps
-        item.future.set_result(PredictResponse(
+        self._reply(item, PredictResponse(
             session_id=session.session_id, seq=item.request.seq,
             result=digest))
-        self._finish_span(item)
         return used_kernel
 
     # -- control ops ---------------------------------------------------------
 
     def _execute_control(self, entry: _Control) -> None:
         try:
-            if entry.op == "open":
-                session_id, spec = entry.payload
-                existing = self.sessions.get(session_id)
-                if existing is not None and existing.spec != spec:
-                    raise ValueError(
-                        f"session {session_id!r} already open with a "
-                        f"different spec ({existing.spec.kind})")
-                if existing is None:
-                    self.sessions[session_id] = Session(session_id, spec)
-                entry.future.set_result(None)
-            elif entry.op == "close":
-                session = self.sessions.pop(entry.payload, None)
-                entry.future.set_result(
-                    session.served if session is not None else None)
-            elif entry.op == "snapshot":
-                # Encoded here, at the barrier, exactly once: the blob
-                # is this instant's state, shares nothing with the live
-                # predictor, and travels opaque until a restore.
-                entry.future.set_result({
-                    session_id: pickle.dumps(session.state_dict(),
-                                             protocol=pickle.HIGHEST_PROTOCOL)
-                    for session_id, session in self.sessions.items()})
-            elif entry.op == "restore":
-                for session_id, blob in entry.payload.items():
-                    self.sessions[session_id] = Session.from_state_dict(
-                        session_id, pickle.loads(blob))
-                entry.future.set_result(None)
-            else:
-                raise ValueError(f"unknown control op {entry.op!r}")
-        except asyncio.CancelledError:
-            raise  # cancellation is the task's to handle, not a result
+            entry.future.set_result(self.control_now(entry.op,
+                                                     entry.payload))
         except Exception as exc:
             # set_exception keeps the full traceback chain for the
             # awaiter (unlike stringified in-band errors).

@@ -1,4 +1,4 @@
-"""One fleet worker process: a PredictionService behind a frame link.
+"""One fleet worker process: one inline Shard behind a frame link.
 
 Spawned by :class:`repro.serve.fleet.ServeFleet` as ``python -m
 repro.serve.worker --connect HOST:PORT --token T --name wN``, the
@@ -12,37 +12,42 @@ FleetFaultPlan`) over the link, and then serves frames
 ====================  =====================================================
 router → worker        worker → router
 ====================  =====================================================
-``("batch", wires)``   ``("results", wires)`` when the batch completes
+``("batch", wires)``   ``("results", wires)``, one response per request,
+                       in frame order
 ``("open", sid, spec)`` ``("ctl", None)`` / ``("ctl_err", message)``
 ``("close", sid)``     ``("ctl", served_count)``
 ``("evict", sids)``    ``("ctl", n_closed)`` (rebalance handoff)
-``("restore", chunk)`` ``("ctl", n_sessions)`` — ``chunk`` is a
-                       snapshot payload of per-session blobs, decoded
-                       here by the owning shard
+``("restore", blobs)`` ``("ctl", n_sessions)`` — ``blobs`` maps session
+                       id to its snapshot blob, decoded here
 ``("snapshot", tok)``  ``("snap_part", tok, blobs)``… then
                        ``("snap_done", tok, schema)`` — ``blobs`` maps
-                       session id to the bytes its shard encoded at the
+                       session id to the bytes the shard encoded at the
                        barrier (:mod:`repro.serve.snapshot`), shipped
                        as is in bounded chunks of ~1k sessions
 ``("ping",)``          ``("pong",)``
-``("stats",)``         ``("ctl", totals)`` — live service totals (the
+``("stats",)``         ``("ctl", totals)`` — the shard's live counters (the
                        hottrace / degrade counters ``fleet.stats`` and
                        ``serve top`` surface without waiting for drain)
-``("drain",)``         ``("bye",)`` then a clean exit
+``("drain",)``         ``("bye", totals)`` then a clean exit
 ====================  =====================================================
 
-Ordering contract: the worker submits every request of a ``batch``
-frame, in frame order, from the single reader task before touching the
-next frame — so per-session admission order at the router *is*
-per-session execution order at the worker, and control frames are
-barriers exactly like the single-process service's controls.  Batch
-*responses* are gathered and sent by detached tasks, so a slow batch
-never stalls the link.
+Ordering contract: the reader task executes each frame in place
+before it reads the next one.  A ``batch`` frame is decoded, executed
+by :meth:`repro.serve.shard.Shard.execute_now` in frame order and
+answered with one ``results`` frame; a control runs through
+:meth:`~repro.serve.shard.Shard.control_now` the same way.  So
+per-session admission order at the router *is* per-session execution
+order here, and every control is a barrier without a queue.  The
+router already coalesced each frame, so the worker batches nothing
+again: the config's ``n_shards``, ``max_batch``, ``max_delay_us``,
+``queue_depth`` and tracing fields do not apply here, and the worker
+mints no spans.
 
 The fault plan runs here, deliberately in the middle of that loop: a
-doomed worker ``os._exit``\\ s after submitting its ``kill_after_served``-th
-request — mid-batch, unflushed responses and all — which is precisely
-the crash the router's WAL replay must make unobservable.
+doomed worker ``os._exit``\\ s at the first request past its
+``kill_after_served`` point, after decoding that request's frame and
+before executing any of it — the whole frame unanswered — which is
+precisely the crash the router's WAL replay must make unobservable.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Set
+from typing import Optional
 
 import asyncio
 
@@ -58,34 +63,19 @@ from repro.api import PredictorSpec
 from repro.robust.faults import KILL_EXIT_CODE
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import (
-    ERR_RETRY,
-    PredictRequest,
     encode_frame,
     read_frame,
     request_from_wire,
     response_to_wire,
 )
-from repro.serve.service import PredictionService
+from repro.serve.shard import Shard
+from repro.serve.snapshot import SNAPSHOT_SCHEMA
 
 #: Sessions per snapshot chunk frame.  Bounds any single frame well
 #: under MAX_FRAME_BYTES however many sessions a worker holds (the
 #: million-session load model makes "all of them in one frame" a
 #: non-starter).
 SNAP_CHUNK_SESSIONS = 1024
-
-
-class _WriteGate:
-    """Serialise frame writes from the reader loop and the detached
-    batch-sender tasks onto one StreamWriter."""
-
-    def __init__(self, writer: "asyncio.StreamWriter") -> None:
-        self.writer = writer
-        self.lock = asyncio.Lock()
-
-    async def send(self, payload: object) -> None:
-        async with self.lock:
-            self.writer.write(encode_frame(payload))
-            await self.writer.drain()
 
 
 class _Doom:
@@ -99,47 +89,49 @@ class _Doom:
         self.submitted = 0
 
     def tick(self) -> None:
-        """One request is about to be submitted; die on schedule."""
+        """One request is about to execute; die on schedule."""
         self.submitted += 1
         if self.kill_point is not None and self.submitted > self.kill_point:
-            # A mid-batch hard death: no drain, no flush, no goodbye.
+            # A mid-frame hard death: no drain, no flush, no goodbye.
             os._exit(KILL_EXIT_CODE)
 
 
-async def _run_batch(service: PredictionService, gate: _WriteGate,
-                     requests: List[PredictRequest], doom: _Doom) -> None:
-    """Submit one batch in order (caller context: the reader task),
-    then gather + reply from a detached task."""
-    futures = []
-    for request in requests:
-        doom.tick()
-        future = service.submit(request)
-        futures.append(future)
-    responses = [await f for f in futures]
-    for response in responses:
-        # The router sizes our queues so admission never rejects; a
-        # retry-after here means that invariant broke and silently
-        # skipping the state update would corrupt WAL-replay recovery.
-        assert response.error != ERR_RETRY, (
-            "worker shard rejected an accepted request — router "
-            "outstanding cap exceeds worker queue depth")
-    await gate.send(("results", [response_to_wire(r)
-                                 for r in responses]))
+#: Frames answered ``("ctl", value)``, or ``("ctl_err", message)``
+#: when the control raises.
+_CONTROLS = ("open", "close", "evict", "restore")
+
+
+def _control(shard: Shard, frame: tuple) -> object:
+    """The ``ctl`` value of one :data:`_CONTROLS` frame."""
+    kind = frame[0]
+    if kind == "open":
+        _, session_id, spec_dict = frame
+        return shard.control_now(
+            "open", (session_id, PredictorSpec.from_json_dict(spec_dict)))
+    if kind == "evict":
+        return sum(shard.control_now("close", session_id) is not None
+                   for session_id in frame[1])
+    if kind == "restore":
+        shard.control_now("restore", frame[1])
+        return len(frame[1])
+    return shard.control_now("close", frame[1])
 
 
 async def _worker(host: str, port: int, token: str, name: str) -> int:
     reader, writer = await asyncio.open_connection(host, port)
-    gate = _WriteGate(writer)
-    await gate.send(("hello", token, name, os.getpid()))
+
+    async def send(payload: object) -> None:
+        writer.write(encode_frame(payload))
+        await writer.drain()
+
+    await send(("hello", token, name, os.getpid()))
     kind, *rest = await read_frame(reader)
     if kind != "config":
         raise RuntimeError(f"expected config frame, got {kind!r}")
     config, plan, index = rest
     assert isinstance(config, ServeConfig)
     doom = _Doom(plan, index)
-    service = PredictionService(config)
-    await service.start()
-    pending: Set["asyncio.Task"] = set()
+    shard = Shard(0, config)
     try:
         while True:
             try:
@@ -151,62 +143,34 @@ async def _worker(host: str, port: int, token: str, name: str) -> int:
                 if doom.stall_s:
                     await asyncio.sleep(doom.stall_s)
                 requests = [request_from_wire(w) for w in frame[1]]
-                task = asyncio.ensure_future(
-                    _run_batch(service, gate, requests, doom))
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-                # _run_batch submits synchronously up to its first
-                # await; yield so submission happens before the next
-                # frame is parsed, preserving admission order.
-                await asyncio.sleep(0)
-            elif kind == "open":
-                _, session_id, spec_dict = frame
-                try:
-                    await service.open_session(
-                        session_id, PredictorSpec.from_json_dict(spec_dict))
-                    await gate.send(("ctl", None))
-                except Exception as exc:
-                    await gate.send(("ctl_err",
-                                     f"{type(exc).__name__}: {exc}"))
-            elif kind == "close":
-                served = await service.close_session(frame[1])
-                await gate.send(("ctl", served))
-            elif kind == "evict":
-                closed = 0
-                for session_id in frame[1]:
-                    if await service.close_session(session_id) is not None:
-                        closed += 1
-                await gate.send(("ctl", closed))
-            elif kind == "restore":
-                count = await service.restore_payload(frame[1])
-                await gate.send(("ctl", count))
+                for _ in requests:
+                    doom.tick()
+                await send(("results", [response_to_wire(r) for r
+                                        in shard.execute_now(requests)]))
             elif kind == "snapshot":
-                # Controls are shard barriers: the payload reflects
-                # every request submitted before this frame.
-                payload = await service.snapshot_payload()
-                items = list(payload["sessions"].items())
+                items = list(shard.control_now("snapshot").items())
                 token = frame[1]
                 for i in range(0, len(items), SNAP_CHUNK_SESSIONS):
                     chunk = dict(items[i:i + SNAP_CHUNK_SESSIONS])
-                    await gate.send(("snap_part", token, chunk))
-                await gate.send(("snap_done", token, payload["schema"]))
+                    await send(("snap_part", token, chunk))
+                await send(("snap_done", token, SNAPSHOT_SCHEMA))
             elif kind == "ping":
-                await gate.send(("pong",))
+                await send(("pong",))
             elif kind == "stats":
-                await gate.send(("ctl", service.stats()["totals"]))
+                await send(("ctl", shard.stats()))
             elif kind == "drain":
-                if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
-                await service.stop()
-                await gate.send(("bye", service.stats()["totals"]))
+                await send(("bye", shard.stats()))
                 break
+            elif kind in _CONTROLS:
+                try:
+                    value = _control(shard, frame)
+                except Exception as exc:
+                    await send(("ctl_err", f"{type(exc).__name__}: {exc}"))
+                else:
+                    await send(("ctl", value))
             else:
                 raise RuntimeError(f"unknown frame kind {kind!r}")
     finally:
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        if service.accepting:
-            await service.stop()
         writer.close()
         try:
             await writer.wait_closed()

@@ -23,7 +23,12 @@ class TestCollect:
         head = subprocess.run(["git", "rev-parse", "HEAD"],
                               capture_output=True, text=True)
         if head.returncode == 0:
-            assert prov["git_rev"] == head.stdout.strip()
+            dirty = subprocess.run(["git", "status", "--porcelain"],
+                                   capture_output=True, text=True)
+            want = head.stdout.strip()
+            if dirty.stdout.strip():
+                want += "-dirty"
+            assert prov["git_rev"] == want
 
     def test_numpy_version_is_string(self):
         assert isinstance(numpy_version(), str)

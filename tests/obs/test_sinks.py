@@ -1,6 +1,10 @@
 """Tests for the sinks, the run manifest and ``observed_run``."""
 
 import json
+import shutil
+import subprocess
+
+import pytest
 
 from repro.engine.machine import Machine
 from repro.engine.ordering import make_scheme
@@ -12,6 +16,7 @@ from repro.obs import (
     PhaseProfiler,
     RunManifest,
     events_to_chrome_trace,
+    git_revision,
     instrument,
     observed_run,
     read_jsonl,
@@ -122,6 +127,55 @@ class TestRunManifest:
         assert loaded.metrics == {"run.cycles": 400}
         assert loaded.event_counts == {"retire": 1000}
         assert loaded.schema == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestGitRevision:
+    """Provenance names the code that ran: a tree with uncommitted
+    changes is marked, not stamped with its parent's hash."""
+
+    @staticmethod
+    def _git(repo, *args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True,
+            text=True).stdout.strip()
+
+    def _repo(self, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        self._git(repo, "init", "-q")
+        (repo / "a.txt").write_text("one\n")
+        self._git(repo, "add", "a.txt")
+        self._git(repo, "commit", "-q", "-m", "one")
+        return repo
+
+    def test_clean_tree_is_the_commit_hash(self, tmp_path):
+        repo = self._repo(tmp_path)
+        assert git_revision(str(repo)) == self._git(repo, "rev-parse",
+                                                    "HEAD")
+
+    def test_modified_tree_is_marked_dirty(self, tmp_path):
+        repo = self._repo(tmp_path)
+        sha = self._git(repo, "rev-parse", "HEAD")
+        (repo / "a.txt").write_text("two\n")
+        assert git_revision(str(repo)) == f"{sha}-dirty"
+
+    def test_untracked_file_is_marked_dirty(self, tmp_path):
+        repo = self._repo(tmp_path)
+        (repo / "b.txt").write_text("new\n")
+        assert git_revision(str(repo)).endswith("-dirty")
+
+    def test_outside_a_checkout_is_none(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        # A checkout above tmp_path must not leak in.
+        toplevel = subprocess.run(
+            ["git", "rev-parse", "--show-toplevel"], cwd=plain,
+            capture_output=True, text=True)
+        if toplevel.returncode == 0:
+            pytest.skip("tmp_path lies inside a git checkout")
+        assert git_revision(str(plain)) is None
 
 
 class TestPhaseProfiler:

@@ -7,6 +7,8 @@ and serial fallback taken along the way.
 """
 
 import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.parallel import (
     execution,
     run_jobs,
 )
+from repro.parallel import runner
 from repro.parallel.runner import MAX_POOL_REBUILDS
 from repro.robust import FaultPlan
 from tests.parallel import _grid_jobs
@@ -78,6 +81,65 @@ class TestKillChaosParity:
         assert report.serial_fallbacks == 1
         assert report.pool_rebuilds == MAX_POOL_REBUILDS
         assert not report.degraded
+
+
+class _BreakingExecutor:
+    """An in-process pool whose ``submit`` raises ``BrokenProcessPool``
+    on the listed call numbers, counted across every pool the runner
+    builds — a pool that dies while jobs are still being handed to it.
+    Other submits run the job at once and return a finished future."""
+
+    def __init__(self, calls, break_on) -> None:
+        self.calls, self.break_on = calls, break_on
+
+    def submit(self, fn, payload):
+        self.calls.append(payload)
+        if len(self.calls) in self.break_on:
+            raise BrokenProcessPool("pool died during submit")
+        future = Future()
+        future.set_result(fn(payload))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenSubmitHeals:
+    """A pool break raised by ``submit`` — on the first hand-out or on
+    the resubmission after a rebuild — takes the same harvest, rebuild
+    and serial-fallback path as a break seen while waiting."""
+
+    def _run(self, monkeypatch, break_on):
+        calls = []
+        monkeypatch.setattr(
+            runner, "_make_executor",
+            lambda n_workers, plan: _BreakingExecutor(calls, break_on))
+        with execution(ExecutionPlan(workers=2)) as report:
+            results = run_jobs(_squares())
+        assert _as_json(results) == _as_json(
+            run_jobs(_squares(), plan=SERIAL_PLAN))
+        return report
+
+    @pytest.mark.parametrize("break_on, rebuilds", [
+        ({3}, 1),        # during the first hand-out
+        ({3, 8}, 2),     # again while resubmitting after the rebuild
+    ])
+    def test_broken_submit_rebuilds_to_identical_results(
+            self, monkeypatch, break_on, rebuilds):
+        report = self._run(monkeypatch, break_on)
+        assert report.pool_rebuilds == rebuilds
+        assert report.serial_fallbacks == 0
+        assert not report.degraded
+
+    def test_broken_submits_past_the_budget_fall_back_to_serial(
+            self, monkeypatch):
+        report = self._run(monkeypatch, set(range(1, 100)))
+        assert report.pool_rebuilds == MAX_POOL_REBUILDS
+        assert report.serial_fallbacks == 1
+        assert not report.degraded
+        # Attempts count hand-outs that reached a pool, then the
+        # serial run: a refused submit is no attempt.
+        assert {r.attempts for r in report.records} == {1}
 
 
 class TestCacheCorruptionChaos:

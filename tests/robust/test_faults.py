@@ -1,9 +1,10 @@
 """Deterministic fault injection: plans, chaos specs, cache corruption,
 and flipped speculation under the invariant oracle.
 
-The predictor and hierarchy wrappers below are test fixtures: the
-engine has no fault hooks, so a faulted machine is built here by
-wrapping its components before the run.
+The predictor wrappers (:mod:`tests.robust.saboteurs`) and the
+hierarchy wrapper below are test fixtures: the engine has no fault
+hooks, so a faulted machine is built here by wrapping its components
+before the run.
 """
 
 import dataclasses
@@ -12,13 +13,11 @@ import pytest
 
 from repro.bank.address_based import AddressBankPredictor
 from repro.bank.base import BankPrediction, BankPredictor
-from repro.cht.base import CollisionPrediction, CollisionPredictor
 from repro.cht.full import FullCHT
 from repro.common.config import BASELINE_MACHINE, CacheConfig, MemoryConfig
 from repro.engine.machine import Machine
 from repro.engine.ordering import make_scheme
 from repro.experiments.harness import get_trace
-from repro.hitmiss.base import HitMissPredictor
 from repro.hitmiss.oracle import AlwaysHitHMP
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.parallel import ExecutionPlan, ResultCache, SimJob, run_jobs
@@ -28,8 +27,12 @@ from repro.robust import (
     corrupt_cache,
     parse_chaos_spec,
 )
-from repro.robust.faults import _roll
 from tests.parallel import _grid_jobs
+from tests.robust.saboteurs import (
+    FaultyBankPredictor,
+    FaultyCHT,
+    FaultyHMP,
+)
 
 
 def _jobs(n=16):
@@ -152,82 +155,8 @@ class TestCorruptCache:
 
 
 # ---------------------------------------------------------------------------
-# Speculation faults: wrappers that flip a seeded fraction of predictions
+# Speculation faults: flipped predictions (tests.robust.saboteurs), slow loads
 # ---------------------------------------------------------------------------
-
-
-class _Flipper:
-    """Seeded per-call flip decision shared by the wrappers below."""
-
-    def __init__(self, inner, flip_fraction: float, seed: int,
-                 salt: str) -> None:
-        self.inner = inner
-        self.flip_fraction = flip_fraction
-        self.seed = seed
-        self.salt = salt
-        self.flips = 0
-        self._calls = 0
-
-    def _flip(self, pc: int) -> bool:
-        self._calls += 1
-        if _roll(self.seed, self.salt, pc, self._calls) < self.flip_fraction:
-            self.flips += 1
-            return True
-        return False
-
-    @property
-    def storage_bits(self) -> int:
-        return self.inner.storage_bits
-
-
-class FaultyHMP(_Flipper, HitMissPredictor):
-    """A hit-miss predictor whose predictions are flipped."""
-
-    def __init__(self, inner, flip_fraction, seed=0):
-        super().__init__(inner, flip_fraction, seed, "hmp")
-
-    def predict_hit(self, pc, line=None, now=0):
-        prediction = self.inner.predict_hit(pc, line, now)
-        return (not prediction) if self._flip(pc) else prediction
-
-    def update(self, pc, hit, line=None, now=0):
-        self.inner.update(pc, hit, line, now)
-
-
-class FaultyCHT(_Flipper, CollisionPredictor):
-    """A CHT whose collision predictions are flipped."""
-
-    def __init__(self, inner, flip_fraction, seed=0):
-        super().__init__(inner, flip_fraction, seed, "cht")
-
-    def lookup(self, pc):
-        prediction = self.inner.lookup(pc)
-        if self._flip(pc):
-            return CollisionPrediction(colliding=not prediction.colliding,
-                                       distance=None)
-        return prediction
-
-    def train(self, pc, collided, distance=None):
-        self.inner.train(pc, collided, distance)
-
-
-class FaultyBankPredictor(_Flipper, BankPredictor):
-    """A bank predictor deranging predictions to the next bank."""
-
-    def __init__(self, inner, flip_fraction, seed=0):
-        super().__init__(inner, flip_fraction, seed, "bank")
-        self.n_banks = inner.n_banks
-
-    def predict(self, pc):
-        prediction = self.inner.predict(pc)
-        if prediction.predicted and self._flip(pc):
-            return BankPrediction(bank=(prediction.bank + 1)
-                                  % max(2, self.n_banks),
-                                  confidence=prediction.confidence)
-        return prediction
-
-    def update(self, pc, bank, address=None):
-        self.inner.update(pc, bank, address)
 
 
 class LatencyFaultHierarchy:

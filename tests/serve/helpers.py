@@ -17,8 +17,7 @@ from repro.serve.batch import apply_step
 from repro.serve.snapshot import load_snapshot
 
 SPEC = spec_for("binary.gshare", history=7)
-CONFIG = ServeConfig(n_shards=2, max_batch=64, max_delay_us=200,
-                     policy=ExecutionPolicy(backend="vectorized"),
+CONFIG = ServeConfig(policy=ExecutionPolicy(backend="vectorized"),
                      min_kernel_run=4)
 
 

@@ -4,8 +4,8 @@ Mirror of ``test_differential.py`` one level up the topology: the same
 shuffled concurrent workload submitted to the single-process
 :class:`PredictionService` and to an N-worker :class:`ServeFleet` must
 produce, per session, identical prediction streams — and both must
-equal the sequential scalar replay.  Routing, per-worker WALs,
-micro-batching inside each worker and the process hop are throughput
+equal the sequential scalar replay.  Routing, per-worker WALs, the
+router's per-frame coalescing and the process hop are throughput
 machinery, never a semantics change.  Runs on both execution backends,
 and covers the ``replay`` trace-window op (digests must agree
 bit-for-bit across all three executions).
@@ -88,9 +88,12 @@ def test_fleet_stream_equals_single_process_and_scalar_replay(
                  for i, sid in enumerate(SESSION_SPECS)}
     expected = {sid: _sequential_reference(sid, reqs)
                 for sid, reqs in workloads.items()}
+    policy = ExecutionPolicy(backend=backend)
     config = ServeConfig(n_shards=2, max_batch=96, max_delay_us=300,
-                         policy=ExecutionPolicy(backend=backend),
-                         min_kernel_run=4)
+                         policy=policy, min_kernel_run=4)
+    # Shards, flush size and flush deadline govern the in-process
+    # service only: a fleet worker executes each router frame in place.
+    fleet_config = ServeConfig(policy=policy, min_kernel_run=4)
 
     async def run_single():
         rng = random.Random(42)
@@ -101,7 +104,7 @@ def test_fleet_stream_equals_single_process_and_scalar_replay(
 
     async def run_fleet():
         rng = random.Random(43)  # different interleaving on purpose
-        async with ServeFleet(n_workers=3, config=config,
+        async with ServeFleet(n_workers=3, config=fleet_config,
                               state_dir=str(tmp_path)) as fleet:
             for sid, spec in SESSION_SPECS.items():
                 await fleet.open_session(sid, spec)
@@ -137,9 +140,10 @@ def test_replay_digests_agree_single_vs_fleet(backend, tmp_path):
             apply_step(spec.family, predictor, pc, outcome)
             for pc, outcome in zip(pcs, outcomes)])
 
+    policy = ExecutionPolicy(backend=backend)
     config = ServeConfig(n_shards=2, max_batch=64, max_delay_us=200,
-                         policy=ExecutionPolicy(backend=backend),
-                         min_kernel_run=8)
+                         policy=policy, min_kernel_run=8)
+    fleet_config = ServeConfig(policy=policy, min_kernel_run=8)
 
     async def run(service_factory):
         async with service_factory() as service:
@@ -154,7 +158,7 @@ def test_replay_digests_agree_single_vs_fleet(backend, tmp_path):
 
     single = asyncio.run(run(lambda: PredictionService(config)))
     fleet = asyncio.run(run(lambda: ServeFleet(
-        n_workers=2, config=config, state_dir=str(tmp_path))))
+        n_workers=2, config=fleet_config, state_dir=str(tmp_path))))
     for sid, (pcs, outcomes) in windows.items():
         want = local_digest(pcs, outcomes)
         assert single[sid] == want, f"single digest diverged ({backend})"

@@ -341,8 +341,7 @@ def test_fleet_policy_travels_and_stats_aggregate(tmp_path):
 
     async def main():
         async with ServeFleet(n_workers=1,
-                              config=ServeConfig(n_shards=1,
-                                                 policy=POLICY),
+                              config=ServeConfig(policy=POLICY),
                               state_dir=str(tmp_path)) as fleet:
             assert fleet.config.policy is POLICY
             await fleet.open_session("s", SPEC)
